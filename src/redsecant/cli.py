@@ -271,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also scan the spread-partition implication region "
                         "up to this bound")
     p.add_argument("--workers", type=int, default=None,
-                   help="process pool size (default: one per CPU)")
+                   help="process pool size, at most one per CPU and per "
+                        "cell (default: one per CPU)")
     _add_oracle_flags(p)
     p.set_defaults(func=cmd_sweep)
 

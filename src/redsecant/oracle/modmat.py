@@ -1,109 +1,212 @@
 """Exact rank computation over Z/p with a streaming reduced row basis.
 
 Row blocks arrive incrementally; the accumulator keeps a basis in reduced
-row echelon form so reducing a new block against it is a single matrix
-product.  Products run through float64 BLAS in chunks small enough that
-every intermediate integer stays below 2^53, which keeps the arithmetic
-exact while being far faster than integer matmul.
+row echelon form (a unit at each row's pivot column, zeros at every other
+pivot column) and stores only its free columns, since the pivot columns
+hold the identity.  Joining a block to an echelon basis takes two products:
+reduce the block against the basis, echelon what is left, then clear the
+new pivot columns out of the basis.  A block is echeloned the same way,
+recursively: echelon its top half, join its bottom half to that.  Below
+_LEAF rows a vectorised Gauss-Jordan step runs once per pivot over the
+whole leaf, so the Python loop runs once per pivot and everything else is
+a float64 BLAS product (in the style of FFLAS/FFPACK, Dumas, Giorgi and
+Pernet, ACM TOMS 2008).
+
+Products are exact: a float64 sum of integers stays exact while it is
+below 2^53, so a product is cut into k-chunks of _CHUNK and reduced mod p
+after each chunk.  For p below 2^20 one float64 product per chunk is exact;
+for larger p one operand is split as hi * 2^13 + lo and each half makes
+its own exact product.  The bounds are asserted below.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Largest k-dimension of one exact float64 product: k * (p-1)^2 < 2^53.
-# With the default p around 10^6 this allows k up to ~9000; we stay below.
+# Largest k-dimension of one float64 product between reductions mod p.
 _CHUNK = 8192
 
-# matmul_mod is exact for any p with (p-1)^2 < 2^53 (chunk length 1 in the
-# worst case); the config layer enforces a much smaller p anyway.
+# Every modulus is below P_LIMIT; the config layer enforces it too.
 P_LIMIT = 94_906_265
+
+# Bits of the low half when one operand is split for large p.
+_SPLIT = 13
+
+# Blocks of at most this many rows are echeloned by Gauss-Jordan steps.
+_LEAF = 32
+
+_EXACT = 1 << 53
+
+# Any single product of two residues is exact in float64.
+assert (P_LIMIT - 1) ** 2 < _EXACT
+# Split products are exact at every admitted p: the low half is below 2^13,
+# the high half at most (p-1) >> 13, which exceeds 2^13 - 1 near P_LIMIT.
+assert _CHUNK * (P_LIMIT - 1) * max((1 << _SPLIT) - 1,
+                                    (P_LIMIT - 1) >> _SPLIT) < _EXACT
+# The leaf's int64 rank-1 updates a - c * r with c, r in [0, p): a leaf
+# entry takes at most _LEAF of them before it is reduced mod p.
+assert _LEAF * (P_LIMIT - 1) ** 2 + P_LIMIT < 1 << 63
+
+
+# An echelon form (x, pivots, free) of r rows over some columns: the rows
+# have the identity at the pivot columns (row i at pivots[i]) and x, of
+# shape r x len(free), at the free columns, which are sorted.
+_Echelon = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _check_modulus(p: int) -> None:
+    if not 2 < p < P_LIMIT:
+        raise ValueError(f"need a modulus 2 < p < {P_LIMIT}, got {p}")
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """(a @ b) % p for int64 matrices with entries in [0, p)."""
-    a = np.ascontiguousarray(a, np.int64)
-    b = np.ascontiguousarray(b, np.int64)
+    _check_modulus(p)
+    a = np.asarray(a, np.int64)
+    b = np.asarray(b, np.int64)
     m, k = a.shape
     k2, ncols = b.shape
     if k != k2:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    out = np.zeros((m, ncols), np.int64)
     if 0 in (m, k, ncols):
-        return out
-    step = min(_CHUNK, max(1, (1 << 53) // max(1, (p - 1) ** 2)))
-    for lo in range(0, k, step):
-        prod = a[:, lo : lo + step].astype(np.float64) @ b[lo : lo + step].astype(
-            np.float64
-        )
-        out += prod.astype(np.int64) % p
-    out %= p
+        return np.zeros((m, ncols), np.int64)
+    af = a.astype(np.float64)
+    if (p - 1) ** 2 * _CHUNK < _EXACT:
+        halves = [(b.astype(np.float64), 0)]
+    else:
+        halves = [((b >> _SPLIT).astype(np.float64), _SPLIT),
+                  ((b & ((1 << _SPLIT) - 1)).astype(np.float64), 0)]
+    # Each reduced term is below p << _SPLIT < 2^40, so the int64 sum of
+    # two terms per chunk cannot overflow.
+    out = None
+    for lo in range(0, k, _CHUNK):
+        for half, shift in halves:
+            prod = (af[:, lo : lo + _CHUNK] @ half[lo : lo + _CHUNK]).astype(np.int64)
+            prod %= p
+            if shift:
+                prod <<= shift
+            if out is None:
+                out = prod
+            else:
+                out += prod
+    if len(halves) > 1 or k > _CHUNK:
+        out %= p
     return out
+
+
+def _sub_mod(x: np.ndarray, y: np.ndarray, p: int) -> None:
+    """x = (x - y) % p in place, for x, y in [0, p); y is overwritten."""
+    x -= y
+    np.right_shift(x, 63, out=y)
+    y &= p
+    x += y
+
+
+def _leaf(a: np.ndarray, p: int) -> _Echelon:
+    """Gauss-Jordan on a few rows: one rank-1 update per pivot.
+
+    Updates are left unreduced; a row is reduced mod p only when it is
+    examined for a pivot, and the rest once at the end.
+    """
+    a = a.copy()
+    rows: list[int] = []
+    cols: list[int] = []
+    for i in range(a.shape[0]):
+        row = a[i]
+        row %= p
+        nz = row.nonzero()[0]
+        if nz.size == 0:
+            continue
+        c = int(nz[0])
+        row *= pow(int(row[c]), -1, p)
+        row %= p
+        coef = a[:, c] % p
+        coef[i] = 0
+        a -= coef[:, None] * row
+        rows.append(i)
+        cols.append(c)
+    free = np.ones(a.shape[1], bool)
+    free[cols] = False
+    free = np.flatnonzero(free)
+    return a[rows][:, free] % p, np.asarray(cols, np.int64), free
+
+
+def _join(ech: _Echelon, bot: np.ndarray, p: int) -> _Echelon:
+    """Echelon form of the rows spanned by ech and the rows of bot."""
+    x, piv, free = ech
+    if not free.size:
+        return ech
+    rest = bot[:, free]
+    if piv.size:
+        coeffs = bot[:, piv]
+        if coeffs.any():
+            _sub_mod(rest, matmul_mod(coeffs, x, p), p)
+    rest = rest[rest.any(axis=1)]
+    if not rest.shape[0]:
+        return ech
+    y, bp, bf = _echelon(rest, p)
+    # Clear the new pivot columns out of the old rows.  Fresh large arrays
+    # cost page faults, so the old rows are gathered straight into the
+    # result (mode="clip" writes without a buffer; bf is in range) and
+    # updated there.
+    out = np.empty((x.shape[0] + y.shape[0], bf.size), np.int64)
+    top = out[: x.shape[0]]
+    np.take(x, bf, axis=1, out=top, mode="clip")
+    coeffs = x[:, bp]
+    if coeffs.any():
+        _sub_mod(top, matmul_mod(coeffs, y, p), p)
+    out[x.shape[0] :] = y
+    return out, np.concatenate([piv, free[bp]]), free[bf]
+
+
+def _echelon(a: np.ndarray, p: int) -> _Echelon:
+    """Echelon form of the rows of a, by row halving."""
+    if a.shape[0] <= _LEAF:
+        return _leaf(a, p)
+    half = a.shape[0] // 2
+    return _join(_echelon(a[:half], p), a[half:], p)
 
 
 class RankAccumulator:
     """Streaming row-rank over Z/p.
 
-    The basis invariant: every stored row has a unit leading entry at its
-    pivot column and zeros at every other pivot column (full RREF), so new
-    rows are reduced by one product with the pivot-column coefficients.
+    The row space seen so far is held in reduced echelon form: `basis` has
+    a unit at each row's pivot column and zeros at every other pivot
+    column.  Only its free (non-pivot) columns are stored, so new rows are
+    reduced by one product with their pivot-column coefficients and the
+    work shrinks as the rank grows.
     """
 
     def __init__(self, ncols: int, p: int):
         if ncols < 0:
             raise ValueError(f"need ncols >= 0, got {ncols}")
-        if p < 3:
-            raise ValueError(f"need an odd prime modulus, got {p}")
+        _check_modulus(p)
         self.ncols = ncols
         self.p = p
-        self.basis = np.zeros((0, ncols), np.int64)
-        self.pivots = np.zeros(0, np.int64)
+        self._ech: _Echelon = (np.zeros((0, ncols), np.int64),
+                               np.zeros(0, np.int64), np.arange(ncols))
 
     @property
     def rank(self) -> int:
-        return self.basis.shape[0]
+        return self._ech[1].size
+
+    @property
+    def pivots(self) -> np.ndarray:
+        return self._ech[1]
+
+    @property
+    def basis(self) -> np.ndarray:
+        x, piv, free = self._ech
+        out = np.zeros((piv.size, self.ncols), np.int64)
+        out[np.arange(piv.size), piv] = 1
+        out[:, free] = x
+        return out
 
     def add_rows(self, rows: np.ndarray) -> None:
-        p = self.p
-        rows = np.atleast_2d(np.asarray(rows, np.int64)) % p
+        rows = np.atleast_2d(np.asarray(rows, np.int64)) % self.p
         if rows.shape[1] != self.ncols:
             raise ValueError(f"rows have {rows.shape[1]} columns, want {self.ncols}")
-        if self.rank:
-            coeffs = rows[:, self.pivots]
-            if coeffs.any():
-                rows = (rows - matmul_mod(coeffs, self.basis, p)) % p
-
-        new_rows: list[np.ndarray] = []
-        new_pivots: list[int] = []
-        for row in rows:
-            for w, c in zip(new_rows, new_pivots):
-                f = int(row[c])
-                if f:
-                    row = (row - f * w) % p
-            nz = row.nonzero()[0]
-            if nz.size == 0:
-                continue
-            c = int(nz[0])
-            row = (row * pow(int(row[c]), -1, p)) % p
-            new_rows.append(row)
-            new_pivots.append(c)
-        if not new_rows:
-            return
-
-        block = np.vstack(new_rows)
-        pivots = np.asarray(new_pivots, np.int64)
-        # Back pass: clear later pivot columns out of earlier block rows.
-        for i in range(block.shape[0] - 2, -1, -1):
-            coef = block[i, pivots[i + 1 :]]
-            nz = coef.nonzero()[0]
-            if nz.size:
-                block[i] = (block[i] - coef[nz] @ block[i + 1 :][nz]) % p
-        if self.rank:
-            coeffs = self.basis[:, pivots]
-            if coeffs.any():
-                self.basis = (self.basis - matmul_mod(coeffs, block, p)) % p
-        self.basis = np.vstack([self.basis, block])
-        self.pivots = np.concatenate([self.pivots, pivots])
+        self._ech = _join(self._ech, rows, self.p)
 
 
 def rank_of(matrix: np.ndarray, p: int) -> int:

@@ -25,6 +25,9 @@ from .forms import HomogeneousForm, eliminate_linear, random_form, tangent_gener
 from .modmat import P_LIMIT, RankAccumulator
 from .monomials import exponents, grade_size, rank_rows
 
+# Entries in one block of rows handed to the rank kernel.
+_BATCH_ENTRIES = 250_000
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -117,8 +120,10 @@ def ideal_piece_rank(generators: Sequence[HomogeneousForm], j: int, p: int,
     """Rank over Z/p of the degree-j piece of the ideal the forms generate.
 
     Rows are coefficient vectors of m * G for every generator G and every
-    monomial m of degree j - deg G, streamed in bounded blocks so peak
-    memory stays flat.  Generators of degree above j contribute nothing.
+    monomial m of degree j - deg G.  They are stacked across generators
+    into blocks of at most _BATCH_ENTRIES entries, so the rank kernel sees
+    few large blocks while peak memory stays flat.  Generators of degree
+    above j contribute nothing.
     """
     usable = [g for g in generators if g.degree <= j and not g.is_zero]
     if not usable:
@@ -136,19 +141,29 @@ def ideal_piece_rank(generators: Sequence[HomogeneousForm], j: int, p: int,
             stacklevel=2,
         )
     acc = RankAccumulator(ncols, p)
+    step = max(1, _BATCH_ENTRIES // ncols)
+    batch = np.zeros((step, ncols), np.int64)
+    filled = 0
     for g in usable:
         mon = exponents(n, j - g.degree)
         gexp = exponents(n, g.degree)
-        step = max(1, 1_000_000 // ncols)
-        for lo in range(0, mon.shape[0], step):
-            chunk = mon[lo : lo + step]
+        lo = 0
+        while lo < mon.shape[0]:
+            chunk = mon[lo : lo + step - filled]
+            lo += chunk.shape[0]
             sums = chunk[:, None, :].astype(np.int64) + gexp[None, :, :]
             ranks = rank_rows(sums.reshape(-1, n)).reshape(chunk.shape[0], -1)
-            rows = np.zeros((chunk.shape[0], ncols), np.int64)
-            rows[np.arange(chunk.shape[0])[:, None], ranks] = g.coeffs[None, :]
-            acc.add_rows(rows)
-            if acc.rank == ncols:
-                return ncols
+            at = filled + np.arange(chunk.shape[0])
+            batch[at[:, None], ranks] = g.coeffs[None, :]
+            filled += chunk.shape[0]
+            if filled == step:
+                acc.add_rows(batch)
+                if acc.rank == ncols:
+                    return ncols
+                batch = np.zeros((step, ncols), np.int64)
+                filled = 0
+    if filled:
+        acc.add_rows(batch[:filled])
     return acc.rank
 
 

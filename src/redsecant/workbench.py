@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -88,6 +89,8 @@ class SweepConfig:
         bad = [f for f in self.families if f not in SWEEP_FAMILIES]
         if bad:
             raise ValueError(f"unknown families {bad}; expected {SWEEP_FAMILIES}")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"need workers >= 1, got {self.workers}")
         if self.out_format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.out_format!r}")
 
@@ -227,9 +230,10 @@ def _enumerate_cells(cfg: SweepConfig):
 def _run_cell(args) -> SweepRow:
     family, n, l, parts, oracle_cfg, predictor_only = args
     inst = ProblemInstance(n, l, Partition(parts))
-    cell_cfg = replace(oracle_cfg,
-                       seed=_cell_seed(oracle_cfg.seed, family, n, l, parts))
-    return verify_case(inst, cell_cfg, family, predictor_only)
+    if not predictor_only:
+        oracle_cfg = replace(oracle_cfg,
+                             seed=_cell_seed(oracle_cfg.seed, family, n, l, parts))
+    return verify_case(inst, oracle_cfg, family, predictor_only)
 
 
 def remark_region_scan(bound: int) -> dict:
@@ -346,21 +350,21 @@ def render_json(rows: Sequence[SweepRow], summary: dict, cfg: SweepConfig) -> st
 def sweep(cfg: SweepConfig) -> tuple[list[SweepRow], dict]:
     """Execute the grid and return (rows in enumeration order, summary).
 
-    Cells run on a process pool; a single collector writes results in
-    enumeration order regardless of completion order, so output is
-    deterministic.  When out_path is set, the rendered CSV or JSON is also
-    written there.
+    Cells run on a process pool of min(workers, cells, CPUs) processes; a
+    single collector writes results in enumeration order regardless of
+    completion order, so output is deterministic.  When out_path is set,
+    the rendered CSV or JSON is also written there.
     """
     cells = [
         (family, n, l, part.parts, cfg.oracle, cfg.predictor_only)
         for family, n, l, part in _enumerate_cells(cfg)
     ]
-    if not cells:
-        rows: list[SweepRow] = []
-    elif cfg.workers == 1 or len(cells) == 1:
-        rows = [_run_cell(cell) for cell in cells]
+    cpus = os.cpu_count() or 1
+    workers = min(cfg.workers or cpus, cpus, len(cells))
+    if workers <= 1:
+        rows: list[SweepRow] = [_run_cell(cell) for cell in cells]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, cells, chunksize=4))
     summary = _summarize(rows, cfg)
     if cfg.out_path:

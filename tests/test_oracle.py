@@ -7,6 +7,7 @@ from redsecant.combinatorics import Partition, ProblemInstance, binom
 from redsecant.oracle import (
     HomogeneousForm,
     PrimeFieldConfig,
+    RankAccumulator,
     ResourceGuardExceeded,
     eliminate_linear,
     exponents,
@@ -26,10 +27,13 @@ from redsecant.oracle import (
     unrank_exponent,
     wlp_consequence_check,
 )
+from redsecant.oracle.modmat import _CHUNK, _LEAF, P_LIMIT
 from redsecant.predictor import predict
 from redsecant.series import expand_rational, reducible_numerator, series_pow
 
 P_TEST = 1_000_003
+# The largest prime below P_LIMIT: every float64 product takes the split path.
+P_MAX = 94_906_249
 
 
 def inst(n, l, parts):
@@ -108,6 +112,66 @@ class TestModularArithmetic:
         rng = np.random.default_rng(seed)
         m = rng.integers(0, 4, size=(8, 6), dtype=np.int64)
         assert rank_of(m, p) == _reference_rank(m % p, p)
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize("p", [7, P_TEST, P_MAX])
+    def test_matmul_exact_across_chunks(self, p):
+        assert is_prime(p) and p < P_LIMIT
+        rng = np.random.default_rng(p)
+        k = _CHUNK + 300
+        a = rng.integers(0, p, size=(3, k), dtype=np.int64)
+        b = rng.integers(0, p, size=(k, 4), dtype=np.int64)
+        a[0] = p - 1
+        b[:, 0] = p - 1
+        want = (a.astype(object) @ b.astype(object)) % p
+        assert np.array_equal(matmul_mod(a, b, p), want.astype(np.int64))
+
+    def test_modulus_above_the_exactness_limit_is_refused(self):
+        with pytest.raises(ValueError):
+            matmul_mod(np.ones((1, 1), np.int64), np.ones((1, 1), np.int64),
+                       94_906_297)
+        with pytest.raises(ValueError):
+            RankAccumulator(3, 94_906_297)
+
+    def test_low_rank_product_at_the_largest_prime(self):
+        # B = [I; R1] and C = [I | R2] have identity k x k minors, so B*C has
+        # rank exactly k; the product is formed with Python integers.
+        m, k = 150, 90
+        rng = np.random.default_rng(11)
+        r1 = rng.integers(0, P_MAX, size=(m - k, k)).astype(object)
+        r2 = rng.integers(0, P_MAX, size=(k, m - k)).astype(object)
+        eye = np.eye(k, dtype=np.int64).astype(object)
+        prod = (np.vstack([eye, r1]) @ np.hstack([eye, r2])) % P_MAX
+        prod = prod.astype(np.int64)[rng.permutation(m)][:, rng.permutation(m)]
+        assert rank_of(prod, P_MAX) == k
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([7, 10007, P_MAX]))
+    @settings(max_examples=30, deadline=None)
+    def test_accumulator_rank_and_basis_invariant(self, seed, p):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 81))
+        ncols = int(rng.integers(1, 61))
+        r = int(rng.integers(0, min(m, ncols) + 1))
+        u = rng.integers(0, p, size=(m, r)).astype(object)
+        v = rng.integers(0, p, size=(r, ncols)).astype(object)
+        matrix = ((u @ v) % p).astype(np.int64) if r else np.zeros(
+            (m, ncols), np.int64)
+        acc = RankAccumulator(ncols, p)
+        lo = 0
+        while lo < m:
+            size = int(rng.choice([1, 3, _LEAF - 1, _LEAF + 5, 2 * _LEAF + 9]))
+            acc.add_rows(matrix[lo : lo + size])
+            lo += size
+        assert acc.rank == _reference_rank(matrix, p)
+        basis, pivots = acc.basis, acc.pivots
+        assert basis.shape == (acc.rank, ncols)
+        assert len(set(pivots.tolist())) == acc.rank
+        assert np.all((basis >= 0) & (basis < p))
+        assert np.array_equal(basis[:, pivots], np.eye(acc.rank, dtype=np.int64))
+        # the basis spans the rows it was fed
+        assert _reference_rank(np.vstack([basis, matrix]), p) == acc.rank
 
 
 def _reference_rank(matrix, p):

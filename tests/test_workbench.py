@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
-from redsecant import cli
+from redsecant import cli, workbench
 from redsecant.combinatorics import Partition, ProblemInstance
-from redsecant.oracle import PrimeFieldConfig
+from redsecant.oracle import PrimeFieldConfig, runs
 from redsecant.workbench import (
     SweepConfig,
     SweepRow,
@@ -81,6 +82,60 @@ class TestSweep:
         assert summary["predictor_only"] == summary["total"] > 0
         assert all(r.oracle is None for r in rows)
 
+    def test_predictor_only_builds_no_oracle_config(self, monkeypatch):
+        cfg = small_config(n_range=(3, 5), l_range=(2, 4), d_max=6,
+                           families=workbench.SWEEP_FAMILIES,
+                           predictor_only=True)
+        calls = []
+        real = runs.is_prime
+        monkeypatch.setattr(runs, "is_prime",
+                            lambda m: calls.append(m) or real(m))
+        rows, _ = sweep(cfg)
+        assert calls == []
+        # digest of the same sweep's CSV before cells stopped rebuilding
+        # their oracle config
+        assert len(rows) == 308
+        assert hashlib.sha256(render_csv(rows).encode()).hexdigest() == (
+            "844788e0ec13a80777bd51e5fd6ff10629c7cd5b3ddad6e5895c38909a70fdd4")
+
+    def test_oracle_csv_matches_frozen_digest(self):
+        # Digest of this sweep's CSV under the row-by-row elimination kernel;
+        # exact elimination yields the same ranks under any algorithm.
+        cfg = small_config(n_range=(3, 4), l_range=(2, 3), d_max=5,
+                           families=("general", "linear_factor"))
+        rows, _ = sweep(cfg)
+        assert len(rows) == 60
+        assert hashlib.sha256(render_csv(rows).encode()).hexdigest() == (
+            "a29bf146e1ae2708aa08bfffe1c9227946a6f0198565f274d91081c31d362b3e")
+
+    @pytest.mark.parametrize("workers,cpus,want", [
+        (500, 8, 3), (5, 2, 2), (None, 2, 2), (None, None, None)])
+    def test_workers_capped_by_cells_and_cpus(self, monkeypatch, workers,
+                                              cpus, want):
+        made = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells, chunksize=1):
+                return map(fn, cells)
+
+        monkeypatch.setattr(workbench, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(workbench.os, "cpu_count", lambda: cpus)
+        cfg = small_config(d_max=3, predictor_only=True, workers=workers)
+        rows, _ = sweep(cfg)
+        assert len(rows) == 3
+        assert made == ([] if want is None else [want])
+        assert render_csv(rows) == render_csv(
+            sweep(small_config(d_max=3, predictor_only=True))[0])
+
     def test_skipped_rows_are_kept(self):
         cfg = small_config(d_max=8,
                            oracle=PrimeFieldConfig(trials=1, max_columns=20))
@@ -142,6 +197,8 @@ class TestSweep:
             small_config(families=("mystery",))
         with pytest.raises(ValueError):
             small_config(out_format="yaml")
+        with pytest.raises(ValueError):
+            small_config(workers=0)
 
     def test_g_check_bound_lands_in_summary(self):
         cfg = small_config(predictor_only=True, g_check_bound=8)

@@ -24,8 +24,8 @@ d = sum(parts)
 num_one = reducible_numerator(parts)
 print("single-point numerator:", num_one.terms)
 
-# l general points multiply the numerators.
-num = series_pow(num_one, l)
+# l general points multiply the numerators; the power has degree l*d.
+num = series_pow(num_one, l, l * d)
 print(f"{l}-point numerator has degree {max(e for e, _ in num.terms)}")
 print()
 

@@ -105,7 +105,7 @@ def cmd_series(args) -> int:
     bound = args.truncate
     if bound < 0:
         raise ValueError(f"need --truncate >= 0, got {bound}")
-    num = series_pow(reducible_numerator(part), inst.l)
+    num = series_pow(reducible_numerator(part), inst.l, bound)
     if args.which == "numerator":
         series = num.as_series(bound)
     elif args.which == "join":

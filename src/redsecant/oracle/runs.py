@@ -12,6 +12,7 @@ consulted anywhere in this module.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -371,9 +372,6 @@ class WlpCheckResult:
         }
 
 
-_LADDER_CACHE: dict = {}
-
-
 def _construction_hilbert_vs(n_vars: int, parts: tuple[int, ...], l: int,
                              cfg: PrimeFieldConfig, target: tuple[int, ...],
                              tag: int) -> tuple[tuple[int, ...], int]:
@@ -405,6 +403,38 @@ def _construction_hilbert_vs(n_vars: int, parts: tuple[int, ...], l: int,
     return tuple(observed), trials_used
 
 
+@functools.lru_cache(maxsize=1024)
+def _ladder_level(n_vars: int, parts: tuple[int, ...], l: int,
+                  cfg: PrimeFieldConfig) -> WlpLevel:
+    """One Weak Lefschetz level: the oracle Hilbert function of the l-point
+    construction in n_vars variables against the predicted one.  Memoised,
+    since the ladders of neighbouring n share their upper levels."""
+    d = sum(parts)
+    target = predicted_hilbert(n_vars, l, parts).coeffs
+    ncols = grade_size(n_vars, d)
+    if ncols > cfg.max_columns:
+        return WlpLevel(
+            variables=n_vars,
+            predicted=target,
+            observed=None,
+            matched=None,
+            trials_used=0,
+            skipped_reason=(
+                f"degree-{d} piece in {n_vars} variables has {ncols} "
+                f"columns, guard is {cfg.max_columns}"
+            ),
+        )
+    observed, used = _construction_hilbert_vs(n_vars, parts, l, cfg, target,
+                                              _TAG_WLP)
+    return WlpLevel(
+        variables=n_vars,
+        predicted=target,
+        observed=observed,
+        matched=observed == target,
+        trials_used=used,
+    )
+
+
 def wlp_consequence_check(inst: ProblemInstance,
                           cfg: PrimeFieldConfig) -> WlpCheckResult:
     """Check the k-Lefschetz consequence of the dimension prediction.
@@ -422,44 +452,10 @@ def wlp_consequence_check(inst: ProblemInstance,
     k = max(0, 2 * l - n)
     if k == 0:
         return WlpCheckResult(inst, 0, True, True, ())
-    d = part.d
-    levels: list[WlpLevel] = []
-    passed = True
-    for i in range(k + 1):
-        n_i = 2 * l - i
-        target = predicted_hilbert(n_i, l, part).coeffs
-        key = (n_i, part.parts, l, cfg.p, cfg.seed, cfg.trials, cfg.max_columns)
-        cached = _LADDER_CACHE.get(key)
-        if cached is None:
-            ncols = grade_size(n_i, d)
-            if ncols > cfg.max_columns:
-                cached = WlpLevel(
-                    variables=n_i,
-                    predicted=target,
-                    observed=None,
-                    matched=None,
-                    trials_used=0,
-                    skipped_reason=(
-                        f"degree-{d} piece in {n_i} variables has {ncols} "
-                        f"columns, guard is {cfg.max_columns}"
-                    ),
-                )
-            else:
-                observed, used = _construction_hilbert_vs(
-                    n_i, part.parts, l, cfg, target, _TAG_WLP
-                )
-                cached = WlpLevel(
-                    variables=n_i,
-                    predicted=target,
-                    observed=observed,
-                    matched=observed == target,
-                    trials_used=used,
-                )
-            _LADDER_CACHE[key] = cached
-        levels.append(cached)
-        if cached.matched is False:
-            passed = False
-    return WlpCheckResult(inst, k, passed, False, tuple(levels))
+    levels = tuple(_ladder_level(2 * l - i, part.parts, l, cfg)
+                   for i in range(k + 1))
+    passed = all(lv.matched is not False for lv in levels)
+    return WlpCheckResult(inst, k, passed, False, levels)
 
 
 # ------------------------------------------------------------
@@ -515,8 +511,8 @@ def froeberg_oracle_r2(n: int, l: int, k: int, d: int,
     if n < 2 or l < 1:
         raise ValueError(f"need n >= 2 and l >= 1, got n={n}, l={l}")
     degs = sorted([k] * l + [d - k] * l)
-    num = series_pow(SeriesNumerator([(0, 1), (k, -1)]), l).mul(
-        series_pow(SeriesNumerator([(0, 1), (d - k, -1)]), l)
+    num = series_pow(SeriesNumerator([(0, 1), (k, -1)]), l, d).mul(
+        series_pow(SeriesNumerator([(0, 1), (d - k, -1)]), l, d)
     )
     series = plus_truncate(expand_rational(num, n, d)).coeffs
 

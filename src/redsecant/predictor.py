@@ -1,8 +1,9 @@
 """Closed-form prediction engine for secant varieties of X_{n-1,lambda}.
 
 The single unified prediction works through the coefficients a_j(l, n,
-lambda): the secant variety fills its ambient space iff some a_j with
-s <= j <= d is nonpositive, and otherwise has dimension N - 1 - a_d.  On top
+lambda) of numerator^l / (1-t)^n, read off the series module: the secant
+variety fills its ambient space iff some a_j with s <= j <= d is
+nonpositive, and otherwise has dimension N - 1 - a_d.  On top
 of that sit the proof-status dispatch (which hypotheses put an instance in a
 proven regime), the complete n=3 secant-line classification, threshold
 computations for the balanced / linear-factor / reducible-forms families,
@@ -23,6 +24,7 @@ from .combinatorics import (
     dim_variety,
     expected_dim,
 )
+from .series import expand_rational, reducible_numerator, series_pow
 
 # ============================================================
 # Prediction report
@@ -93,46 +95,13 @@ LINEAR_FACTOR_DIM_NOTE = (
 # ============================================================
 
 
-def a_coeff(inst: ProblemInstance, j: int) -> int:
-    """The coefficient a_j(l, n, lambda) of the prediction formula.
-
-    Six terms; under the zero-extended binomial convention the
-    (r-1)*l*C(j,d) term contributes only at j = d, and the final two terms
-    vanish whenever r >= 3 (2*d_2 - d and d_1 + d_2 - d are then negative
-    enough).  a_j equals the predicted dim[A]_j while all earlier a_i are
-    positive, A being the sum-of-tangent-ideals quotient.
-    """
-    n, l = inst.n, inst.l
-    part = inst.partition
-    d = part.d
-    d1 = part.parts[0]
-    d2 = part.parts[1]
-    r = part.r
-    s = part.s
-    if j < 0 or j > d:
-        raise ValueError(f"degree {j} out of range 0..{d}")
-    total = binom(j + n - 1, n - 1)
-    total -= l * sum(binom(j + di - d + n - 1, n - 1) for di in part.parts)
-    total += (r - 1) * l * binom(j, d)
-    total += sum(
-        (-1) ** k * binom(l, k) * binom(j - k * s + n - 1, n - 1)
-        for k in range(2, l + 1)
-    )
-    total += binom(l, 2) * binom(j + 2 * d2 - 2 * d + n - 1, n - 1)
-    total += l * (l - 1) * binom(j + d1 + d2 - 2 * d + n - 1, n - 1)
-    return total
-
-
 def syz_dim(n: int, l: int, s: int, d: int) -> int:
     """Degree-d dimension of the first syzygy module of l generic forms of
     degree s in n variables, via the Koszul resolution:
     sum_{k=2..l} (-1)^k C(l,k) C(d-ks+n-1, n-1).  Zero whenever d < 2s."""
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")
-    total = sum(
-        (-1) ** k * binom(l, k) * binom(d - k * s + n - 1, n - 1)
-        for k in range(2, l + 1)
-    )
+    total = _koszul_tail(l, n, s, d)
     assert total >= 0, f"syzygy count came out negative: {total}"
     return total
 
@@ -150,6 +119,13 @@ def alternating_binomial_sum(l: int, n: int, s: int, d: int) -> int:
     )
 
 
+def _koszul_tail(l: int, n: int, s: int, d: int) -> int:
+    """sum_{k=2..l} (-1)^k C(l,k) C(d-ks+n-1, n-1): the alternating sum
+    less its k = 0 and k = 1 terms.  Negative values are possible (l > n)."""
+    return (alternating_binomial_sum(l, n, s, d)
+            - binom(d + n - 1, n - 1) + l * binom(d - s + n - 1, n - 1))
+
+
 def long_formula_dim(inst: ProblemInstance) -> int:
     """The explicit non-filling dimension formula, evaluated directly.
 
@@ -161,10 +137,7 @@ def long_formula_dim(inst: ProblemInstance) -> int:
     d, s = part.d, part.s
     d1, d2 = part.parts[0], part.parts[1]
     value = l * dim_variety(n, part) + l - 1
-    value -= sum(
-        (-1) ** k * binom(l, k) * binom(d1 - (k - 1) * s + n - 1, n - 1)
-        for k in range(2, l + 1)
-    )
+    value -= _koszul_tail(l, n, s, d)
     value -= binom(l, 2) * binom(2 * d2 - d + n - 1, n - 1)
     value -= l * (l - 1) * binom(d1 + d2 - d + n - 1, n - 1)
     return value
@@ -214,7 +187,7 @@ def predict(inst: ProblemInstance) -> PredictionReport:
     d, r, s = part.d, part.r, part.s
     d1, d2 = part.parts[0], part.parts[1]
 
-    a_seq = tuple(a_coeff(inst, j) for j in range(d + 1))
+    a_seq = expand_rational(series_pow(reducible_numerator(part), l, d), n, d).coeffs
     for j in range(min(s, d + 1)):
         if a_seq[j] <= 0:
             raise RuntimeError(
@@ -557,10 +530,7 @@ def remark510_check(n: int, l: int, partition: PartitionLike) -> Remark510Result
             f"check applies above the dividing hyperplane (d1 >= s); "
             f"got d1={d1}, s={s}"
         )
-    g = sum(
-        (-1) ** k * binom(l, k) * binom(d1 - (k - 1) * s + n - 1, n - 1)
-        for k in range(2, l + 1)
-    )
+    g = _koszul_tail(l, n, s, part.d)
     if g > 0:
         return Remark510Result(g, True)
     spread = Partition([d1] + [1] * s)

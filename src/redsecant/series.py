@@ -9,7 +9,7 @@ floating point.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .combinatorics import PartitionLike, as_partition, binom
 
@@ -66,19 +66,6 @@ class TruncatedSeries:
         if new_bound >= self.bound:
             return self
         return TruncatedSeries(self.coeffs[: new_bound + 1])
-
-    def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        bound = min(self.bound, other.bound)
-        a = self.coeffs
-        b = other.coeffs
-        out = [0] * (bound + 1)
-        for i in range(bound + 1):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(bound + 1 - i):
-                out[i + j] += ai * b[j]
-        return TruncatedSeries(out)
 
     def mul_numerator(self, num: "SeriesNumerator") -> "TruncatedSeries":
         """Multiply by a sparse polynomial, keeping this window's bound."""
@@ -193,9 +180,6 @@ class SeriesNumerator:
         return f"SeriesNumerator({list(self.terms)!r})"
 
 
-SeriesLike = Union[TruncatedSeries, SeriesNumerator]
-
-
 def expand_rational(num: SeriesNumerator, n: int, bound: int) -> TruncatedSeries:
     """Coefficients of num / (1-t)^n through the given degree bound.
 
@@ -233,27 +217,36 @@ def reducible_numerator(partition: PartitionLike) -> SeriesNumerator:
     return SeriesNumerator(pairs)
 
 
-def series_pow(x: SeriesLike, l: int) -> SeriesLike:
-    """Exact l-th power; a sparse numerator stays sparse, a truncated
-    series stays truncated at its own bound."""
+def series_pow(num: SeriesNumerator, l: int, bound: int) -> SeriesNumerator:
+    """The l-th power of num with every term above degree bound dropped.
+
+    Cutting after each product is exact through the bound, because no
+    numerator has a term of negative degree; callers read no further.
+    """
     if l < 0:
         raise ValueError(f"need l >= 0, got {l}")
-    if isinstance(x, SeriesNumerator):
-        result: SeriesLike = SeriesNumerator.one()
-    elif isinstance(x, TruncatedSeries):
-        ident = [0] * (x.bound + 1)
-        ident[0] = 1
-        result = TruncatedSeries(ident)
-    else:
-        raise TypeError(f"cannot raise {type(x).__name__} to a power")
-    base = x
+    if bound < 0:
+        raise ValueError(f"need bound >= 0, got {bound}")
+
+    def mul(x: SeriesNumerator, y: SeriesNumerator) -> SeriesNumerator:
+        acc: dict[int, int] = {}
+        for e1, c1 in x.terms:
+            for e2, c2 in y.terms:
+                e = e1 + e2
+                if e > bound:  # terms are sorted by degree
+                    break
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return SeriesNumerator(acc.items())
+
+    result = SeriesNumerator.one()
+    base = num
     e = l
     while e:
         if e & 1:
-            result = result.mul(base)  # type: ignore[arg-type]
+            result = mul(result, base)
         e >>= 1
         if e:
-            base = base.mul(base)  # type: ignore[arg-type]
+            base = mul(base, base)
     return result
 
 
@@ -298,6 +291,5 @@ def predicted_hilbert(
         raise ValueError(f"need l >= 1, got l={l}")
     if bound is None:
         bound = part.d
-    num_l = series_pow(reducible_numerator(part), l)
-    assert isinstance(num_l, SeriesNumerator)
+    num_l = series_pow(reducible_numerator(part), l, bound)
     return plus_truncate(expand_rational(num_l, n, bound))

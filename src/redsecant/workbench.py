@@ -7,7 +7,7 @@ each, and records agreement.  Disagreement on a proven-status cell is an
 error state that the CLI turns into exit code 3; disagreement on a
 conjectural cell is a finding carrying full reproduction data.  Cells whose
 matrices would exceed the column guard are marked skipped, never dropped.
-Identical config and seed produce byte-identical CSV output.
+Identical config and seed produce byte-identical CSV and JSON output.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -112,7 +111,6 @@ class SweepRow:
     skipped_reason: Optional[str] = None
     error: Optional[str] = None
     finding: Optional[str] = None
-    runtime_ms: float = 0.0
 
     def csv_record(self) -> dict:
         rep = self.prediction
@@ -153,7 +151,6 @@ class SweepRow:
             "skipped_reason": self.skipped_reason,
             "error": self.error,
             "finding": self.finding,
-            "runtime_ms": round(self.runtime_ms, 3),
         }
 
 
@@ -175,16 +172,13 @@ def verify_case(inst: ProblemInstance, cfg: PrimeFieldConfig,
                 family: str = "general",
                 predictor_only: bool = False) -> SweepRow:
     """Run the prediction and the oracle for one instance and compare."""
-    start = time.perf_counter()
     report = _family_report(family, inst)
     if predictor_only:
-        return SweepRow(family, report,
-                        runtime_ms=1000 * (time.perf_counter() - start))
+        return SweepRow(family, report)
     try:
         run = oracle_run(inst, cfg)
     except ResourceGuardExceeded as exc:
-        return SweepRow(family, report, skipped_reason=str(exc),
-                        runtime_ms=1000 * (time.perf_counter() - start))
+        return SweepRow(family, report, skipped_reason=str(exc))
     agree = run.secant_dim == report.predicted_dim
     error = finding = None
     if not agree:
@@ -197,8 +191,7 @@ def verify_case(inst: ProblemInstance, cfg: PrimeFieldConfig,
             error = f"proven-status disagreement: {detail}"
         else:
             finding = f"conjectural disagreement: {detail}"
-    return SweepRow(family, report, run, agree, None, error, finding,
-                    runtime_ms=1000 * (time.perf_counter() - start))
+    return SweepRow(family, report, run, agree, None, error, finding)
 
 
 def _cell_partitions(family: str, n: int, l: int, d: int,

@@ -50,7 +50,7 @@ def test_criterion_01_worked_example_end_to_end():
     single-threaded."""
     start = time.perf_counter()
     part = Partition([3, 2, 2])
-    num = series_pow(reducible_numerator(part), 3)
+    num = series_pow(reducible_numerator(part), 3, artinian_bound(3, 7))
 
     art = expand_rational(num, 6, artinian_bound(3, 7))
     assert art.coeffs == (1, 6, 21, 56, 123, 228, 363, 504, 612, 646,
@@ -82,7 +82,7 @@ def test_criterion_02_plane_hypersurface_worked_case():
     """[9,7,2] at two points in the plane: the four-variable expansion
     carries 634/635 and both dimension paths give 188."""
     part = Partition([9, 7, 2])
-    num = series_pow(reducible_numerator(part), 2)
+    num = series_pow(reducible_numerator(part), 2, 18)
     art = expand_rational(num, 4, 18)
     assert art.coeff(17) == 634
     assert art.coeff(18) == 635

@@ -27,6 +27,7 @@ from redsecant.oracle import (
     unrank_exponent,
     wlp_consequence_check,
 )
+from redsecant.oracle import runs
 from redsecant.oracle.modmat import _CHUNK, _LEAF, P_LIMIT
 from redsecant.predictor import predict
 from redsecant.series import expand_rational, reducible_numerator, series_pow
@@ -320,7 +321,7 @@ class TestOracleRuns:
             run = oracle_run(inst(n, l, parts), PrimeFieldConfig(trials=2),
                              want_hilbert=True)
             part = Partition(parts)
-            num = series_pow(reducible_numerator(part), l)
+            num = series_pow(reducible_numerator(part), l, part.d)
             want = expand_rational(num, n, part.d)
             assert tuple(run.hilbert) == want.coeffs, (n, l, parts)
 
@@ -390,6 +391,18 @@ class TestWlpConsequence:
         doc = res.to_json()
         assert doc["k"] == 2 and doc["passed"] is True
         assert len(doc["levels"]) == 3
+
+    def test_levels_are_shared_across_ladders(self):
+        """The ladder at n = 5 is the top of the ladder at n = 4, so its
+        levels come from the memo and are the very same results."""
+        cfg = PrimeFieldConfig(trials=1, seed=424242)
+        low = wlp_consequence_check(inst(4, 3, [2, 1]), cfg)
+        hits = runs._ladder_level.cache_info().hits
+        high = wlp_consequence_check(inst(5, 3, [2, 1]), cfg)
+        assert runs._ladder_level.cache_info().hits == hits + 2
+        assert [lv.variables for lv in low.levels] == [6, 5, 4]
+        assert high.levels == low.levels[:2]
+        assert all(a is b for a, b in zip(high.levels, low.levels))
 
 
 class TestFroebergBridge:

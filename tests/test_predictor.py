@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +14,6 @@ from redsecant.combinatorics import (
 )
 from redsecant.predictor import (
     LINEAR_FACTOR_DIM_NOTE,
-    a_coeff,
     alternating_binomial_sum,
     linear_factor_predict,
     long_formula_dim,
@@ -28,12 +30,51 @@ def P(n, l, parts):
     return ProblemInstance(n, l, Partition(parts))
 
 
+def a_coeff(inst: ProblemInstance, j: int) -> int:
+    """Closed-form reference for the coefficient a_j(l, n, lambda), which
+    predict() reads off the series numerator^l / (1-t)^n instead.
+
+    Six terms; under the zero-extended binomial convention the
+    (r-1)*l*C(j,d) term contributes only at j = d, and the final two terms
+    vanish whenever r >= 3 (2*d_2 - d and d_1 + d_2 - d are then negative
+    enough).  a_j equals the predicted dim[A]_j while all earlier a_i are
+    positive, A being the sum-of-tangent-ideals quotient.
+    """
+    n, l = inst.n, inst.l
+    part = inst.partition
+    d = part.d
+    d1 = part.parts[0]
+    d2 = part.parts[1]
+    r = part.r
+    s = part.s
+    if j < 0 or j > d:
+        raise ValueError(f"degree {j} out of range 0..{d}")
+    total = binom(j + n - 1, n - 1)
+    total -= l * sum(binom(j + di - d + n - 1, n - 1) for di in part.parts)
+    total += (r - 1) * l * binom(j, d)
+    total += sum(
+        (-1) ** k * binom(l, k) * binom(j - k * s + n - 1, n - 1)
+        for k in range(2, l + 1)
+    )
+    total += binom(l, 2) * binom(j + 2 * d2 - 2 * d + n - 1, n - 1)
+    total += l * (l - 1) * binom(j + d1 + d2 - 2 * d + n - 1, n - 1)
+    return total
+
+
+def _grid():
+    """Every cell with 3 <= n <= 9, 2 <= l <= 6, 2 <= d <= 11, every
+    partition with at least two parts: 6405 instances."""
+    return [ProblemInstance(n, l, part)
+            for n in range(3, 10) for l in range(2, 7) for d in range(2, 12)
+            for part in enumerate_partitions(d, 2, d)]
+
+
 class TestACoefficients:
     def test_worked_six_variable_case(self):
         inst = P(4, 3, [3, 2, 2])
-        assert a_coeff(inst, 0) == 1
-        assert a_coeff(inst, 4) == 32
-        assert a_coeff(inst, 7) == 6
+        a_seq = predict(inst).a_seq
+        assert (a_coeff(inst, 0), a_coeff(inst, 4), a_coeff(inst, 7)) == (1, 32, 6)
+        assert (a_seq[0], a_seq[4], a_seq[7]) == (1, 32, 6)
 
     def test_out_of_range_raises(self):
         inst = P(4, 3, [3, 2, 2])
@@ -41,6 +82,20 @@ class TestACoefficients:
             a_coeff(inst, -1)
         with pytest.raises(ValueError):
             a_coeff(inst, 8)
+        assert len(predict(inst).a_seq) == inst.partition.d + 1
+
+    def test_series_matches_closed_form_on_the_grid(self):
+        for inst in _grid():
+            a_seq = predict(inst).a_seq
+            want = tuple(a_coeff(inst, j) for j in range(inst.partition.d + 1))
+            assert a_seq == want, inst
+
+    def test_predict_json_matches_frozen_digest(self):
+        """Frozen from the closed-form a_coeff predictor; covers a_seq,
+        which the sweep CSV digests do not see."""
+        blob = json.dumps([predict(inst).to_json() for inst in _grid()])
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "fd5ba21e1349c1fc8a00d3b72486e0ef13260ea074be773896a5acd12a2d4b25")
 
     def test_head_coefficient_closed_form(self):
         """Below degree s only the first two terms survive, and at j = s
@@ -50,15 +105,18 @@ class TestACoefficients:
                 for parts in ([3, 2, 2], [4, 1], [2, 2, 1], [5, 3, 2], [2, 2, 2, 1]):
                     inst = P(n, l, parts)
                     part = inst.partition
-                    got = a_coeff(inst, part.s)
-                    assert got == binom(part.s + n - 1, n - 1) - part.t * l
+                    want = binom(part.s + n - 1, n - 1) - part.t * l
+                    assert a_coeff(inst, part.s) == want
+                    assert predict(inst).a_seq[part.s] == want
 
     def test_positive_below_s(self):
         for n in (3, 4, 5):
             for l in (2, 3):
                 inst = P(n, l, [4, 3, 2])
+                a_seq = predict(inst).a_seq
                 for j in range(inst.partition.s):
                     assert a_coeff(inst, j) > 0
+                    assert a_seq[j] > 0
 
 
 def test_syz_dim_values():

@@ -25,8 +25,6 @@ def test_truncated_series_basics():
     s = TruncatedSeries((1, 2, 3))
     assert s.coeff(1) == 2
     assert s.truncate(1).coeffs == (1, 2)
-    prod = s.mul(TruncatedSeries((1, 1, 0)))
-    assert prod.coeffs == (1, 3, 5)
     with pytest.raises(IndexError):
         s.coeff(7)
 
@@ -85,9 +83,30 @@ def test_two_factor_numerator_factors_exhaustively():
 
 def test_series_pow_matches_repeated_mul():
     num = reducible_numerator([2, 1])
-    assert series_pow(num, 3).as_series(9).coeffs == \
+    assert series_pow(num, 3, 9).as_series(9).coeffs == \
         num.mul(num).mul(num).as_series(9).coeffs
-    assert series_pow(num, 1).as_series(3).coeffs == num.as_series(3).coeffs
+    assert series_pow(num, 1, 3).as_series(3).coeffs == num.as_series(3).coeffs
+
+
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(-3, 3)), max_size=5),
+       st.integers(min_value=0, max_value=7),
+       st.integers(min_value=0, max_value=40))
+@settings(max_examples=60)
+def test_series_pow_is_the_exact_power_cut_at_the_bound(pairs, l, bound):
+    num = SeriesNumerator(pairs)
+    exact = SeriesNumerator.one()
+    for _ in range(l):
+        exact = exact.mul(num)
+    cut = SeriesNumerator((e, c) for e, c in exact.terms if e <= bound)
+    assert series_pow(num, l, bound) == cut
+
+
+def test_series_pow_validation():
+    num = reducible_numerator([2, 1])
+    with pytest.raises(ValueError):
+        series_pow(num, -1, 4)
+    with pytest.raises(ValueError):
+        series_pow(num, 2, -1)
 
 
 class TestPlusTruncate:
@@ -124,8 +143,8 @@ def test_artinian_expansion_is_a_polynomial():
     """numerator^l / (1-t)^(2l) terminates at degree l(d-2)."""
     for parts, l in (([3, 2, 2], 3), ([2, 1], 2), ([9, 7, 2], 2)):
         part = Partition(parts)
-        num = series_pow(reducible_numerator(part), l)
         bound = artinian_bound(l, part.d)
+        num = series_pow(reducible_numerator(part), l, bound + 6)
         ext = expand_rational(num, 2 * l, bound + 6)
         assert all(c == 0 for c in ext.coeffs[bound + 1:])
         assert ext.coeffs[bound] != 0
@@ -133,7 +152,7 @@ def test_artinian_expansion_is_a_polynomial():
 
 def test_worked_example_artinian_coefficients():
     part = Partition([3, 2, 2])
-    num = series_pow(reducible_numerator(part), 3)
+    num = series_pow(reducible_numerator(part), 3, artinian_bound(3, 7))
     got = expand_rational(num, 6, artinian_bound(3, 7))
     assert got.coeffs == ARTINIAN_322
 
@@ -146,7 +165,7 @@ def test_worked_example_predicted_hilbert():
 def test_hypersurface_case_tail_values():
     # two points on the [9,7,2] arrangement variety in the plane: the
     # four-variable (2l) expansion carries the codimension-1 signal
-    num = series_pow(reducible_numerator([9, 7, 2]), 2)
+    num = series_pow(reducible_numerator([9, 7, 2]), 2, 18)
     art = expand_rational(num, 4, 18)
     assert art.coeff(17) == 634
     assert art.coeff(18) == 635
@@ -173,7 +192,7 @@ def test_proper_range_expansion_needs_no_truncation():
             for parts in ([1, 1], [2, 1], [3, 2], [2, 2, 1], [4, 3],
                           [3, 3, 2], [5, 1, 1, 1]):
                 part = Partition(parts)
-                num = series_pow(reducible_numerator(part), l)
+                num = series_pow(reducible_numerator(part), l, part.d)
                 raw = expand_rational(num, n, part.d)
                 assert all(c >= 0 for c in raw.coeffs)
                 assert plus_truncate(raw).coeffs == raw.coeffs

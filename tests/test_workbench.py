@@ -59,6 +59,12 @@ class TestSweep:
         rows2, _ = sweep(cfg)
         assert render_csv(rows1) == render_csv(rows2)
 
+    def test_json_byte_identical_reruns(self):
+        cfg = small_config()
+        rows1, summary1 = sweep(cfg)
+        rows2, summary2 = sweep(cfg)
+        assert render_json(rows1, summary1, cfg) == render_json(rows2, summary2, cfg)
+
     def test_parallel_matches_sequential(self):
         seq = small_config()
         par = small_config(workers=3)

@@ -2,15 +2,18 @@
 
 A form is its coefficient vector, indexed by the colex rank of the exponent
 vector.  Products go through the cached multiplication tables; tangent-cone
-generators G_k = prod_{i != k} F_i come from prefix/suffix partial products,
-so polynomial division is never needed.  The linear-elimination helpers
-substitute pivot variables of linear generators away exactly, shrinking the
-ring before any rank computation.
+generators G_k = prod_{i != k} F_i come from prefix and suffix partial
+products (3r - 6 products for r >= 3 factors, none for two), so neither
+polynomial division nor a product by the unit form is ever needed.  The
+linear-elimination helpers substitute pivot variables of linear generators
+away exactly, shrinking the ring before any rank computation; where each
+coefficient moves depends only on (n, d, v) and is cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,15 +86,16 @@ def tangent_generators(factors, p: int) -> tuple[HomogeneousForm, ...]:
     n = factors[0].n
     if any(f.n != n for f in factors):
         raise ValueError("factors live in different variable counts")
-    prefix = [one_form(n)]
-    for f in factors:
+    # prefix[k] = F_0 .. F_k and suffix[k] = F_{k+1} .. F_{r-1}, k < r - 1
+    prefix = [factors[0]]
+    for f in factors[1:-1]:
         prefix.append(multiply(prefix[-1], f, p))
-    suffix = [one_form(n)]
-    for f in reversed(factors):
+    suffix = [factors[-1]]
+    for f in reversed(factors[1:-1]):
         suffix.append(multiply(f, suffix[-1], p))
     suffix.reverse()
-    # prefix[k] = F_0 .. F_{k-1}, suffix[k+1] = F_{k+1} .. F_{r-1}
-    return tuple(multiply(prefix[k], suffix[k + 1], p) for k in range(r))
+    inner = (multiply(prefix[k - 1], suffix[k], p) for k in range(1, r - 1))
+    return (suffix[0], *inner, prefix[-1])
 
 
 # ------------------------------------------------------------
@@ -101,7 +105,7 @@ def tangent_generators(factors, p: int) -> tuple[HomogeneousForm, ...]:
 
 def _variable_order(n: int) -> np.ndarray:
     """ranks[v] = colex rank of the unit exponent vector e_v."""
-    return rank_rows(np.eye(n, dtype=np.int64))
+    return np.argsort(exponents(n, 1).argmax(axis=1))
 
 
 def _linear_rref(var_rows: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
@@ -134,9 +138,25 @@ def _linear_rref(var_rows: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     return pivots, np.zeros((0, rows.shape[1]), np.int64)
 
 
+@lru_cache(maxsize=256)
+def _substitution_plan(n: int, d: int, v: int) -> tuple:
+    """Entry k: the positions of the degree-d monomials with x_v^k exactly,
+    and the ranks of those monomials with x_v dropped, in n-1 variables."""
+    exps = exponents(n, d)
+    plan = []
+    for k in range(d + 1):
+        source = np.flatnonzero(exps[:, v] == k)
+        target = rank_rows(np.delete(exps[source], v, axis=1))
+        source.flags.writeable = False
+        target.flags.writeable = False
+        plan.append((source, target))
+    return tuple(plan)
+
+
 def substitute_out(form: HomogeneousForm, v: int, replacement: np.ndarray,
                    p: int) -> HomogeneousForm:
-    """Substitute x_v = replacement (a linear form in the other variables).
+    """Substitute x_v = replacement, a linear form in the other variables
+    given as its degree-1 coefficient vector in n-1 variables.
 
     Writing form = sum_k x_v^k F_k with F_k free of x_v, the result is
     sum_k replacement^k * F_k in n-1 variables, exactly.
@@ -145,23 +165,18 @@ def substitute_out(form: HomogeneousForm, v: int, replacement: np.ndarray,
     if n < 2:
         raise ValueError("cannot eliminate the last variable this way")
     out_n = n - 1
-    exps = exponents(n, d)
     out = np.zeros(grade_size(out_n, d), np.int64)
     lin = HomogeneousForm(out_n, 1, np.asarray(replacement, np.int64) % p)
-    power = one_form(out_n)
-    for k in range(d + 1):
-        if k > 0:
-            power = multiply(power, lin, p)
-        mask = exps[:, v] == k
-        if not mask.any():
-            continue
-        sub = np.delete(exps[mask], v, axis=1)
+    power = lin
+    for k, (source, target) in enumerate(_substitution_plan(n, d, v)):
         fk = np.zeros(grade_size(out_n, d - k), np.int64)
-        fk[rank_rows(sub)] = form.coeffs[mask]
+        fk[target] = form.coeffs[source]
         if k == 0:
             out += fk
-        else:
-            out += multiply(HomogeneousForm(out_n, d - k, fk), power, p).coeffs
+            continue
+        if k > 1:
+            power = multiply(power, lin, p)
+        out += multiply(HomogeneousForm(out_n, d - k, fk), power, p).coeffs
     return HomogeneousForm(out_n, d, out % p)
 
 
@@ -193,7 +208,9 @@ def eliminate_linear(linear_forms, other_forms, p: int):
     pending = [expr.copy() for _, expr in substitutions]
     for step, (v, _) in enumerate(substitutions):
         expr = pending[step]
-        replacement = np.delete(expr, v)
+        # expr lists coefficients by variable; a linear form, by colex rank
+        replacement = np.empty(n - step - 1, np.int64)
+        replacement[_variable_order(n - step - 1)] = np.delete(expr, v)
         forms = [substitute_out(f, v, replacement, p) for f in forms]
         for later in range(step + 1, q):
             # the coefficient at v is zero (RREF), so the column just drops

@@ -22,7 +22,7 @@ import numpy as np
 _CAP = 1 << 60
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _pascal(rows: int, cols: int) -> np.ndarray:
     table = np.zeros((rows, cols), np.int64)
     table[:, 0] = 1
@@ -41,7 +41,7 @@ def grade_size(n: int, d: int) -> int:
     return comb(d + n - 1, n - 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def exponents(n: int, d: int) -> np.ndarray:
     """All exponent vectors of degree d in n variables, row i at rank i.
 
@@ -101,21 +101,34 @@ def unrank_exponent(n: int, d: int, rank: int) -> tuple[int, ...]:
     return tuple(int(v) for v in exponents(n, d)[rank])
 
 
-@lru_cache(maxsize=None)
+# mul_table refuses shapes with more entries than this (640 MB of int64).
+_TABLE_LIMIT = 80_000_000
+
+
+@lru_cache(maxsize=256)
 def mul_table(n: int, a: int, b: int) -> np.ndarray:
     """mul_table(n, a, b)[i, j] = rank of exponents(n,a)[i] + exponents(n,b)[j].
 
-    Dense and cached; intended for form construction, where both grades are
-    small.  Row streaming in the rank routines avoids ever materializing a
-    large instance of this table.
+    Dense, cached and read-only.  Row i lists, in the order of
+    exponents(n, b), the columns that x^exponents(n,a)[i] * G occupies for
+    any degree-b form G: form products scatter through it and Terracini
+    rows are gathered from it.  Shapes above _TABLE_LIMIT entries are
+    refused with ValueError; ideal_piece_rank asks only for much smaller
+    tables and takes the rows of larger shapes from table_rows, block by
+    block.
     """
-    ea, eb = exponents(n, a), exponents(n, b)
-    if ea.shape[0] * eb.shape[0] > 80_000_000:
+    rows = grade_size(n, a)
+    if rows * grade_size(n, b) > _TABLE_LIMIT:
         raise ValueError(
             f"mul_table({n}, {a}, {b}) would hold "
-            f"{ea.shape[0] * eb.shape[0]} entries; stream instead"
+            f"{rows * grade_size(n, b)} entries; stream instead"
         )
-    sums = ea[:, None, :] + eb[None, :, :]
-    out = rank_rows(sums.reshape(-1, n)).reshape(ea.shape[0], eb.shape[0])
+    out = table_rows(n, a, b, 0, rows)
     out.flags.writeable = False
     return out
+
+
+def table_rows(n: int, a: int, b: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi of mul_table(n, a, b), computed without the table."""
+    sums = exponents(n, a)[lo:hi, None, :] + exponents(n, b)[None, :, :]
+    return rank_rows(sums.reshape(-1, n)).reshape(sums.shape[0], -1)

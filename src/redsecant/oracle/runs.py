@@ -24,10 +24,15 @@ from ..series import expand_rational, plus_truncate, predicted_hilbert, series_p
 from ..series import SeriesNumerator
 from .forms import HomogeneousForm, eliminate_linear, random_form, tangent_generators
 from .modmat import P_LIMIT, RankAccumulator
-from .monomials import exponents, grade_size, rank_rows
+from .monomials import grade_size, mul_table, table_rows
 
 # Entries in one block of rows handed to the rank kernel.
 _BATCH_ENTRIES = 250_000
+# Largest multiplication table (8 MB of int64) that ideal_piece_rank
+# gathers rows from; a generator with more rows x coefficients than this
+# takes its columns from table_rows block by block instead, so no large
+# table is ever built or cached.
+_GATHER_ENTRIES = 1 << 20
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -121,10 +126,12 @@ def ideal_piece_rank(generators: Sequence[HomogeneousForm], j: int, p: int,
     """Rank over Z/p of the degree-j piece of the ideal the forms generate.
 
     Rows are coefficient vectors of m * G for every generator G and every
-    monomial m of degree j - deg G.  They are stacked across generators
-    into blocks of at most _BATCH_ENTRIES entries, so the rank kernel sees
-    few large blocks while peak memory stays flat.  Generators of degree
-    above j contribute nothing.
+    monomial m of degree j - deg G, in the order of exponents(n, j - deg G);
+    the columns of the row for m are row m of mul_table(n, j - deg G,
+    deg G).  Rows are stacked across generators into blocks of at most
+    _BATCH_ENTRIES entries, so the rank kernel sees few large blocks while
+    peak memory stays flat.  Generators of degree above j contribute
+    nothing.
     """
     usable = [g for g in generators if g.degree <= j and not g.is_zero]
     if not usable:
@@ -143,28 +150,32 @@ def ideal_piece_rank(generators: Sequence[HomogeneousForm], j: int, p: int,
         )
     acc = RankAccumulator(ncols, p)
     step = max(1, _BATCH_ENTRIES // ncols)
-    batch = np.zeros((step, ncols), np.int64)
+    left = sum(grade_size(n, j - g.degree) for g in usable)
+    batch = np.zeros((min(step, left), ncols), np.int64)
     filled = 0
     for g in usable:
-        mon = exponents(n, j - g.degree)
-        gexp = exponents(n, g.degree)
+        a, b = j - g.degree, g.degree
+        nrows = grade_size(n, a)
+        table = None
+        if nrows * g.coeffs.size <= _GATHER_ENTRIES:
+            table = mul_table(n, a, b)
         lo = 0
-        while lo < mon.shape[0]:
-            chunk = mon[lo : lo + step - filled]
-            lo += chunk.shape[0]
-            sums = chunk[:, None, :].astype(np.int64) + gexp[None, :, :]
-            ranks = rank_rows(sums.reshape(-1, n)).reshape(chunk.shape[0], -1)
-            at = filled + np.arange(chunk.shape[0])
-            batch[at[:, None], ranks] = g.coeffs[None, :]
-            filled += chunk.shape[0]
-            if filled == step:
+        while lo < nrows:
+            hi = min(nrows, lo + batch.shape[0] - filled)
+            if table is not None:
+                cols = table[lo:hi]
+            else:
+                cols = table_rows(n, a, b, lo, hi)
+            batch[np.arange(filled, filled + hi - lo)[:, None], cols] = g.coeffs
+            filled += hi - lo
+            lo = hi
+            if filled == batch.shape[0]:
                 acc.add_rows(batch)
+                left -= filled
                 if acc.rank == ncols:
                     return ncols
-                batch = np.zeros((step, ncols), np.int64)
+                batch = np.zeros((min(step, left), ncols), np.int64)
                 filled = 0
-    if filled:
-        acc.add_rows(batch[:filled])
     return acc.rank
 
 

@@ -1,9 +1,19 @@
+import hashlib
+import json
+from functools import reduce
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redsecant.combinatorics import Partition, ProblemInstance, binom
+from redsecant.combinatorics import (
+    Partition,
+    ProblemInstance,
+    binom,
+    enumerate_partitions,
+)
 from redsecant.oracle import (
     HomogeneousForm,
     PrimeFieldConfig,
@@ -23,6 +33,7 @@ from redsecant.oracle import (
     rank_exponent,
     rank_of,
     rank_rows,
+    substitute_out,
     tangent_generators,
     unrank_exponent,
     wlp_consequence_check,
@@ -194,6 +205,25 @@ def _reference_rank(matrix, p):
     return rank
 
 
+def _evaluate(form, point, p):
+    """form(point) mod p, by Python integers over the exponent rows."""
+    total = 0
+    for c, exp in zip(form.coeffs.tolist(), exponents(form.n, form.degree).tolist()):
+        term = int(c)
+        for x, e in zip(point, exp):
+            term = term * pow(int(x), e, p) % p
+        total += term
+    return total % p
+
+
+def _brute_rows(gens, j, p):
+    """The rows multiply(g, m) for every nonzero g of degree at most j and
+    every monomial m of degree j - deg g, in order, one product per row."""
+    return [multiply(g, monomial_form(g.n, m, p), p).coeffs
+            for g in gens if g.degree <= j and not g.is_zero
+            for m in exponents(g.n, j - g.degree).tolist()]
+
+
 class TestForms:
     def test_multiply_square_of_linear_form(self):
         # (x1 + x2)^2 = x1^2 + 2 x1 x2 + x2^2
@@ -234,6 +264,54 @@ class TestForms:
         assert np.array_equal(full[0], full[1])
         assert np.array_equal(full[0], full[2])
 
+    @pytest.mark.parametrize("degrees", [(3, 2), (1, 4, 2), (2, 1, 3, 1),
+                                         (1, 2, 1, 3, 2)])
+    def test_tangent_generators_match_the_product_of_the_others(self, degrees):
+        rng = np.random.default_rng(len(degrees))
+        factors = [random_form(4, e, P_MAX, rng) for e in degrees]
+        gens = tangent_generators(factors, P_MAX)
+        assert len(gens) == len(factors)
+        for k, g in enumerate(gens):
+            others = factors[:k] + factors[k + 1:]
+            want = reduce(lambda f, h: multiply(f, h, P_MAX), others)
+            assert g.degree == want.degree
+            assert np.array_equal(g.coeffs, want.coeffs), (degrees, k)
+
+    @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=5),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_substitute_out_evaluates_at_the_replacement(self, n, d, data):
+        p = 10007
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        v = data.draw(st.integers(0, n - 1))
+        form = random_form(n, d, p, rng)
+        lin = random_form(n - 1, 1, p, rng)
+        out = substitute_out(form, v, lin.coeffs, p)
+        assert (out.n, out.degree) == (n - 1, d)
+        for _ in range(3):
+            y = rng.integers(0, p, size=n - 1).tolist()
+            x = y[:v] + [_evaluate(lin, y, p)] + y[v:]
+            assert _evaluate(out, y, p) == _evaluate(form, x, p)
+
+    def test_eliminate_linear_is_exact_on_special_forms(self):
+        """x0 = x1 - 3 x2 on the zero set of the linear form; and the ideal
+        (x0 - x1, x0^2 - x1^2) is (x0 - x1), so the quadric maps to zero."""
+        p = 10007
+        x = [monomial_form(3, e, p) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        lin = HomogeneousForm(3, 1, (x[0].coeffs - x[1].coeffs + 3 * x[2].coeffs) % p)
+        quad = random_form(3, 2, p, np.random.default_rng(2))
+        new_n, (image,) = eliminate_linear([lin], [quad], p)
+        assert new_n == 2
+        for y in ((4, 9), (1, 0), (0, 1), (17, 5)):
+            assert _evaluate(image, y, p) == _evaluate(quad, ((y[0] - 3 * y[1]) % p, *y), p)
+        diff = HomogeneousForm(3, 1, (x[0].coeffs - x[1].coeffs) % p)
+        square_gap = HomogeneousForm(
+            3, 2, (multiply(x[0], x[0], p).coeffs - multiply(x[1], x[1], p).coeffs) % p)
+        _, (gone,) = eliminate_linear([diff], [square_gap], p)
+        assert gone.is_zero
+        naive = ideal_piece_rank([diff, square_gap], 2, p)
+        assert naive == 3 == runs._eliminated_piece_rank([[diff, square_gap]], 3, 2, p, None)
+
     def test_eliminate_linear_rank_matches_naive(self):
         rng = np.random.default_rng(17)
         n, j = 4, 5
@@ -270,6 +348,71 @@ class TestIdealPieceRank:
         rng = np.random.default_rng(3)
         f = random_form(3, 4, P_TEST, rng)
         assert ideal_piece_rank([f], 3, P_TEST) == 0
+
+    @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=6),
+           st.sampled_from([10007, P_MAX]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_force_rows(self, n, j, p, data):
+        """Gathered rows, with a zero form and a generator above degree j
+        among the generators, against one product per row: the rows fed to
+        the kernel are those rows in order, and the rank is theirs.  The
+        gather limit and the block size are drawn small as well, so rows
+        whose table is not built and blocks that split a generator are
+        covered; with the limit at 0 every table is refused."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        degrees = data.draw(st.lists(st.integers(0, j), min_size=1, max_size=4))
+        gens = [random_form(n, e, p, rng) for e in degrees]
+        gens.append(HomogeneousForm(n, max(0, j - 1), np.zeros(grade_size(n, max(0, j - 1)))))
+        gens.append(random_form(n, j + 1, p, rng))
+        gather = data.draw(st.sampled_from([runs._GATHER_ENTRIES, 0, grade_size(n, j)]))
+        batch = data.draw(st.sampled_from([runs._BATCH_ENTRIES, 1, 3 * grade_size(n, j)]))
+        fed = []
+        add_rows = RankAccumulator.add_rows
+
+        def record(acc, rows):
+            fed.extend(np.array(rows))
+            return add_rows(acc, rows)
+
+        def refuse(*args):
+            raise ValueError("table refused")
+
+        table = refuse if gather == 0 else runs.mul_table
+        with mock.patch.object(runs, "_GATHER_ENTRIES", gather), \
+                mock.patch.object(runs, "mul_table", table), \
+                mock.patch.object(runs, "_BATCH_ENTRIES", batch), \
+                mock.patch.object(RankAccumulator, "add_rows", record):
+            got = ideal_piece_rank(gens, j, p)
+        rows = _brute_rows(gens, j, p)
+        assert len(fed) <= len(rows)
+        assert all(np.array_equal(a, b) for a, b in zip(fed, rows))
+        assert got == (rank_of(np.array(rows), p) if rows else 0)
+
+    def test_blocks_are_right_sized_and_keep_their_boundaries(self, monkeypatch):
+        """Every block holds `step` rows but the last, and each is a whole
+        array of its own, not a slice of a larger one."""
+        blocks = []
+        add_rows = RankAccumulator.add_rows
+
+        def record(acc, rows):
+            blocks.append((rows.shape[0], rows.base is None))
+            return add_rows(acc, rows)
+
+        monkeypatch.setattr(RankAccumulator, "add_rows", record)
+        rng = np.random.default_rng(8)
+        n, j = 4, 5
+        gens = [random_form(n, e, P_TEST, rng) for e in (3, 3, 4, 2)]
+        total = sum(grade_size(n, j - g.degree) for g in gens)
+        ncols = grade_size(n, j)
+        assert total < ncols  # no early exit at full rank
+        want_rank = rank_of(np.array(_brute_rows(gens, j, P_TEST)), P_TEST)
+        for step in (1, 7, 10, total - 1, total, total + 5, 10 * total):
+            blocks.clear()
+            monkeypatch.setattr(runs, "_BATCH_ENTRIES", step * ncols)
+            got = ideal_piece_rank(gens, j, P_TEST)
+            want = [step] * (total // step) + ([total % step] if total % step else [])
+            assert [rows for rows, _ in blocks] == want, step
+            assert all(whole for _, whole in blocks), step
+            assert got == want_rank
 
     def test_column_guard(self):
         rng = np.random.default_rng(3)
@@ -416,3 +559,28 @@ class TestFroebergBridge:
             froeberg_oracle_r2(4, 2, 3, 4, PrimeFieldConfig())
         with pytest.raises(ValueError):
             froeberg_oracle_r2(4, 2, 0, 4, PrimeFieldConfig())
+
+
+class TestFrozenFullHilbert:
+    def test_full_hilbert_json_matches_frozen_digest(self):
+        """Every degree 0..d of the ladder, of want_hilbert runs (one on the
+        elimination path, one at the largest admitted prime) and of the
+        generic-forms comparison; the sweep CSV digests only see degree d.
+        The digest was taken before the Terracini rows were gathered from
+        cached index tables."""
+        cfg = PrimeFieldConfig(trials=2, seed=31)
+        ladders = [wlp_consequence_check(inst(4, 3, part.parts), cfg).to_json()
+                   for d in range(2, 6) for part in enumerate_partitions(d, 2, 4)]
+        big_p = PrimeFieldConfig(p=P_MAX, trials=2, seed=31)
+        hilbert_runs = [
+            oracle_run(inst(n, l, parts), c, want_hilbert=True).to_json()
+            for n, l, parts, c in ((3, 2, [2, 2], cfg), (4, 2, [3, 1], cfg),
+                                   (5, 2, [2, 2, 1], cfg), (4, 3, [3, 2, 2], cfg),
+                                   (3, 3, [3, 2, 1, 1], cfg), (4, 2, [3, 2], big_p))
+        ]
+        assert hilbert_runs[1]["eliminated"]
+        froeberg = froeberg_oracle_r2(4, 2, 2, 5, cfg).to_json()
+        doc = json.dumps({"ladders": ladders, "runs": hilbert_runs,
+                          "froeberg": froeberg}, sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "2de59f180fcc1702787410c50250adbbfd1fa81996f3441ba9727e562c04995c")

@@ -34,6 +34,10 @@ EXIT_VALIDATION = 2
 EXIT_DISAGREEMENT = 3
 EXIT_GUARD = 4
 
+# Largest --truncate accepted: the series are lists of big integers built
+# term by term, and 10^4 degrees already take about half a second.
+MAX_TRUNCATE = 10_000
+
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
@@ -103,8 +107,8 @@ def cmd_series(args) -> int:
     part = Partition.from_text(args.partition)
     inst = ProblemInstance(args.n, args.l, part)
     bound = args.truncate
-    if bound < 0:
-        raise ValueError(f"need --truncate >= 0, got {bound}")
+    if not 0 <= bound <= MAX_TRUNCATE:
+        raise ValueError(f"need 0 <= --truncate <= {MAX_TRUNCATE}, got {bound}")
     num = series_pow(reducible_numerator(part), inst.l, bound)
     if args.which == "numerator":
         series = num.as_series(bound)
@@ -235,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("series", help="Hilbert series pipeline pieces")
     _add_instance_flags(p)
     p.add_argument("--truncate", type=int, required=True,
-                   help="last degree to print")
+                   help=f"last degree to print, at most {MAX_TRUNCATE}")
     p.add_argument("--which", default="predicted",
                    choices=("numerator", "join", "artinian", "predicted"),
                    help="numerator: l-th power of the defining numerator; "

@@ -5,7 +5,6 @@ from .forms import (
     eliminate_linear,
     monomial_form,
     multiply,
-    one_form,
     random_form,
     substitute_out,
     tangent_generators,
@@ -52,7 +51,6 @@ __all__ = [
     "monomial_form",
     "mul_table",
     "multiply",
-    "one_form",
     "oracle_run",
     "random_form",
     "rank_exponent",

@@ -45,10 +45,6 @@ class HomogeneousForm:
         return f"HomogeneousForm(n={self.n}, degree={self.degree})"
 
 
-def one_form(n: int) -> HomogeneousForm:
-    return HomogeneousForm(n, 0, np.ones(1, np.int64))
-
-
 def monomial_form(n: int, exponent, p: int, coefficient: int = 1) -> HomogeneousForm:
     """The single monomial x^exponent with the given coefficient."""
     exponent = tuple(int(e) for e in exponent)

@@ -12,14 +12,15 @@ consulted anywhere in this module.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..combinatorics import PartitionLike, ProblemInstance, as_partition, expected_dim
+from ..combinatorics import ProblemInstance, expected_dim
 from ..series import expand_rational, plus_truncate, predicted_hilbert, series_pow
 from ..series import SeriesNumerator
 from .forms import HomogeneousForm, eliminate_linear, random_form, tangent_generators
@@ -179,34 +180,50 @@ def ideal_piece_rank(generators: Sequence[HomogeneousForm], j: int, p: int,
     return acc.rank
 
 
-def _split_linear(points: Sequence[Sequence[HomogeneousForm]]):
-    linear = [g for gens in points for g in gens if g.degree == 1]
-    higher = [g for gens in points for g in gens if g.degree > 1]
-    return linear, higher
+def _hilbert_over_trials(sample: Callable[[int], tuple], degrees: Sequence[int],
+                         cfg: PrimeFieldConfig,
+                         target: Optional[tuple[int, ...]] = None):
+    """Hilbert function of sampled ideals at the given degrees, minimized
+    over trials.
 
-
-def _eliminated_piece_rank(points, n: int, j: int, p: int,
-                           max_columns: Optional[int]) -> int:
-    """Degree-j rank of the ideal sum after removing its linear generators.
-
-    The span of the linear generators has some rank q; modulo that span the
-    ring is a polynomial ring in n - q variables and the remaining
-    generators map to forms there.  The identity used:
-    rank = N_j - grade_size(n-q, j) + (rank of the images at degree j).
-    Exact for arbitrary (not just generic) samples.
+    sample(trial) returns (n_vars, forms); the trial's value at degree j is
+    grade_size(n_vars, j) - ideal_piece_rank(forms, j).  A random
+    specialization can only have smaller ranks, hence larger values, than
+    the generic ideal, so the minimum over trials is the certified bound.
+    Trials stop once that minimum equals target.  Returns the minimum and
+    the Hilbert function of each trial run.
     """
-    if j == 0:
-        return 0
-    linear, higher = _split_linear(points)
-    new_n, reduced = eliminate_linear(linear, higher, p)
-    full = grade_size(n, j)
-    if new_n == 0:
-        return full
-    small = grade_size(new_n, j)
-    if max_columns is not None and small > max_columns:
-        raise ResourceGuardExceeded(small, max_columns,
-                                    f"degree-{j} piece after elimination")
-    return full - small + ideal_piece_rank(reduced, j, p, max_columns)
+    best: Optional[tuple[int, ...]] = None
+    per_trial: list[tuple[int, ...]] = []
+    for trial in range(cfg.trials):
+        n_vars, forms = sample(trial)
+        hf = tuple(
+            grade_size(n_vars, j) - ideal_piece_rank(forms, j, cfg.p,
+                                                     cfg.max_columns)
+            for j in degrees
+        )
+        per_trial.append(hf)
+        best = hf if best is None else tuple(map(min, best, hf))
+        if best == target:
+            break
+    assert best is not None
+    return best, per_trial
+
+
+def _json_fields(obj) -> dict:
+    """A result dataclass as JSON: its fields in order, tuples as lists,
+    nested results as dicts, and an `instance` field as n, l, partition."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.name == "instance":
+            out.update(n=value.n, l=value.l, partition=value.partition.text())
+        elif isinstance(value, tuple):
+            out[f.name] = [_json_fields(v) if dataclasses.is_dataclass(v) else v
+                           for v in value]
+        else:
+            out[f.name] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -233,24 +250,9 @@ class OracleRun:
     hilbert: Optional[tuple[int, ...]] = None
 
     def to_json(self) -> dict:
-        inst = self.instance
-        out = {
-            "n": inst.n,
-            "l": inst.l,
-            "partition": inst.partition.text(),
-            "p": self.p,
-            "seed": self.seed,
-            "trials": self.trials,
-            "trial_ranks": list(self.trial_ranks),
-            "max_rank": self.max_rank,
-            "secant_dim": self.secant_dim,
-            "codim": self.codim,
-            "fills": self.fills,
-            "columns": self.columns,
-            "eliminated": self.eliminated,
-        }
-        if self.hilbert is not None:
-            out["hilbert"] = list(self.hilbert)
+        out = _json_fields(self)
+        if self.hilbert is None:
+            del out["hilbert"]
         return out
 
 
@@ -261,13 +263,13 @@ def _use_elimination(partition) -> bool:
 
 
 def oracle_run(inst: ProblemInstance, cfg: PrimeFieldConfig,
-               want_hilbert: bool = False,
-               elimination: object = "auto") -> OracleRun:
+               want_hilbert: bool = False) -> OracleRun:
     """Sample l random points per trial and rank their joint tangent ideal.
 
-    elimination: "auto" removes linear generators exactly whenever the
-    partition provides them; True forces that path, False forces the naive
-    one.  Results agree; the eliminated path just works in fewer variables.
+    When the partition provides linear generators they are removed exactly
+    once per trial: modulo their span the ring has new_n variables, and
+    the Hilbert function of the quotient is that of the remaining
+    generators' images there, so the run works in fewer variables.
     """
     n, l = inst.n, inst.l
     part = inst.partition
@@ -275,7 +277,7 @@ def oracle_run(inst: ProblemInstance, cfg: PrimeFieldConfig,
         raise ValueError(f"need l >= 1, got {l}")
     d = part.d
     big_n = grade_size(n, d)
-    elim = _use_elimination(part) if elimination == "auto" else bool(elimination)
+    elim = _use_elimination(part)
 
     if elim:
         n_linear = sum(1 for e in part.parts if e == part.d - 1) * l
@@ -286,27 +288,25 @@ def oracle_run(inst: ProblemInstance, cfg: PrimeFieldConfig,
         raise ResourceGuardExceeded(effective, cfg.max_columns,
                                     f"oracle run for {inst}")
 
-    degrees = list(range(d + 1)) if want_hilbert else [d]
-    best = {j: 0 for j in degrees}
-    trial_ranks: list[int] = []
-    for trial in range(cfg.trials):
-        points = [
-            _point_generators(n, part.parts, cfg.p, cfg.seed, _TAG_ORACLE,
-                              trial, point)
-            for point in range(l)
-        ]
-        flat = [g for gens in points for g in gens]
-        rank_at_d = 0
-        for j in degrees:
-            if elim:
-                r = _eliminated_piece_rank(points, n, j, cfg.p, cfg.max_columns)
-            else:
-                r = ideal_piece_rank(flat, j, cfg.p, cfg.max_columns)
-            best[j] = max(best[j], r)
-            if j == d:
-                rank_at_d = r
-        trial_ranks.append(rank_at_d)
-    max_rank = best[d]
+    def sample(trial: int):
+        forms = [g for point in range(l)
+                 for g in _point_generators(n, part.parts, cfg.p, cfg.seed,
+                                            _TAG_ORACLE, trial, point)]
+        if not elim:
+            return n, forms
+        new_n, reduced = eliminate_linear(
+            [g for g in forms if g.degree == 1],
+            [g for g in forms if g.degree > 1], cfg.p)
+        small = grade_size(new_n, d)
+        if small > cfg.max_columns:
+            raise ResourceGuardExceeded(small, cfg.max_columns,
+                                        f"degree-{d} piece after elimination")
+        return new_n, reduced
+
+    degrees = range(d + 1) if want_hilbert else [d]
+    best, per_trial = _hilbert_over_trials(sample, degrees, cfg)
+    trial_ranks = [big_n - hf[-1] for hf in per_trial]
+    max_rank = big_n - best[-1]
     secant_dim = max_rank - 1
     exp = expected_dim(inst)
     if secant_dim > exp.expected:
@@ -314,11 +314,8 @@ def oracle_run(inst: ProblemInstance, cfg: PrimeFieldConfig,
             f"internal error: oracle dimension {secant_dim} exceeds the "
             f"expected dimension {exp.expected} for {inst}"
         )
-    hilbert = None
-    if want_hilbert:
-        hilbert = tuple(grade_size(n, j) - best[j] for j in degrees)
-        if any(h < 0 for h in hilbert):
-            raise RuntimeError(f"internal error: negative Hilbert value for {inst}")
+    if min(best) < 0:
+        raise RuntimeError(f"internal error: negative Hilbert value for {inst}")
     return OracleRun(
         instance=inst,
         p=cfg.p,
@@ -331,7 +328,7 @@ def oracle_run(inst: ProblemInstance, cfg: PrimeFieldConfig,
         fills=max_rank == big_n,
         columns=effective,
         eliminated=elim,
-        hilbert=hilbert,
+        hilbert=best if want_hilbert else None,
     )
 
 
@@ -361,57 +358,7 @@ class WlpCheckResult:
     levels: tuple[WlpLevel, ...]
 
     def to_json(self) -> dict:
-        inst = self.instance
-        return {
-            "n": inst.n,
-            "l": inst.l,
-            "partition": inst.partition.text(),
-            "k": self.k,
-            "passed": self.passed,
-            "vacuous": self.vacuous,
-            "levels": [
-                {
-                    "variables": lv.variables,
-                    "predicted": list(lv.predicted),
-                    "observed": None if lv.observed is None else list(lv.observed),
-                    "matched": lv.matched,
-                    "trials_used": lv.trials_used,
-                    "skipped_reason": lv.skipped_reason,
-                }
-                for lv in self.levels
-            ],
-        }
-
-
-def _construction_hilbert_vs(n_vars: int, parts: tuple[int, ...], l: int,
-                             cfg: PrimeFieldConfig, target: tuple[int, ...],
-                             tag: int) -> tuple[tuple[int, ...], int]:
-    """Oracle Hilbert function of the l-point construction in n_vars
-    variables, degrees 0..d, stopping early once a trial matches target.
-
-    A match certifies the comparison: a random specialization can only have
-    smaller ranks, hence a larger Hilbert function, than the generic one.
-    """
-    d = sum(parts)
-    observed: Optional[list[int]] = None
-    trials_used = 0
-    for trial in range(cfg.trials):
-        trials_used = trial + 1
-        points = [
-            _point_generators(n_vars, parts, cfg.p, cfg.seed, tag, trial, point)
-            for point in range(l)
-        ]
-        flat = [g for gens in points for g in gens]
-        hf = [
-            grade_size(n_vars, j) - ideal_piece_rank(flat, j, cfg.p,
-                                                     cfg.max_columns)
-            for j in range(d + 1)
-        ]
-        observed = hf if observed is None else [min(a, b) for a, b in zip(observed, hf)]
-        if tuple(observed) == target:
-            break
-    assert observed is not None
-    return tuple(observed), trials_used
+        return _json_fields(self)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -435,14 +382,19 @@ def _ladder_level(n_vars: int, parts: tuple[int, ...], l: int,
                 f"columns, guard is {cfg.max_columns}"
             ),
         )
-    observed, used = _construction_hilbert_vs(n_vars, parts, l, cfg, target,
-                                              _TAG_WLP)
+
+    def sample(trial: int):
+        return n_vars, [g for point in range(l)
+                        for g in _point_generators(n_vars, parts, cfg.p, cfg.seed,
+                                                   _TAG_WLP, trial, point)]
+
+    observed, per_trial = _hilbert_over_trials(sample, range(d + 1), cfg, target)
     return WlpLevel(
         variables=n_vars,
         predicted=target,
         observed=observed,
         matched=observed == target,
-        trials_used=used,
+        trials_used=len(per_trial),
     )
 
 
@@ -499,18 +451,7 @@ class FroebergCheck:
     trials_used: int
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "l": self.l,
-            "k": self.k,
-            "d": self.d,
-            "hilbert": list(self.hilbert),
-            "series": list(self.series),
-            "recursive": list(self.recursive),
-            "froeberg_match": self.froeberg_match,
-            "implied_secant_dim": self.implied_secant_dim,
-            "trials_used": self.trials_used,
-        }
+        return _json_fields(self)
 
 
 def froeberg_oracle_r2(n: int, l: int, k: int, d: int,
@@ -542,23 +483,12 @@ def froeberg_oracle_r2(n: int, l: int, k: int, d: int,
     if ncols > cfg.max_columns:
         raise ResourceGuardExceeded(ncols, cfg.max_columns,
                                     f"generic-forms run (n={n}, d={d})")
-    observed: Optional[list[int]] = None
-    trials_used = 0
-    for trial in range(cfg.trials):
-        trials_used = trial + 1
-        forms = [
-            random_form(n, e, cfg.p, _rng(cfg.seed, _TAG_FROEBERG, n, trial, i))
-            for i, e in enumerate(degs)
-        ]
-        hf = [
-            grade_size(n, j) - ideal_piece_rank(forms, j, cfg.p, cfg.max_columns)
-            for j in range(d + 1)
-        ]
-        observed = hf if observed is None else [min(a, b) for a, b in zip(observed, hf)]
-        if tuple(observed) == series:
-            break
-    assert observed is not None
-    hilbert = tuple(observed)
+
+    def sample(trial: int):
+        return n, [random_form(n, e, cfg.p, _rng(cfg.seed, _TAG_FROEBERG, n, trial, i))
+                   for i, e in enumerate(degs)]
+
+    hilbert, per_trial = _hilbert_over_trials(sample, range(d + 1), cfg, series)
     return FroebergCheck(
         n=n,
         l=l,
@@ -569,5 +499,5 @@ def froeberg_oracle_r2(n: int, l: int, k: int, d: int,
         recursive=recursive,
         froeberg_match=hilbert == series,
         implied_secant_dim=grade_size(n, d) - 1 - hilbert[d],
-        trials_used=trials_used,
+        trials_used=len(per_trial),
     )

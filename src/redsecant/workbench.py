@@ -24,7 +24,6 @@ import numpy as np
 
 from .combinatorics import Partition, ProblemInstance, enumerate_partitions
 from .predictor import (
-    FAMILIES,
     PredictionReport,
     linear_factor_predict,
     predict,

@@ -307,10 +307,13 @@ class TestForms:
         diff = HomogeneousForm(3, 1, (x[0].coeffs - x[1].coeffs) % p)
         square_gap = HomogeneousForm(
             3, 2, (multiply(x[0], x[0], p).coeffs - multiply(x[1], x[1], p).coeffs) % p)
-        _, (gone,) = eliminate_linear([diff], [square_gap], p)
-        assert gone.is_zero
+        new_n, reduced = eliminate_linear([diff], [square_gap], p)
+        assert new_n == 2 and reduced[0].is_zero
+        # HF_2(3, I) = HF_2(new_n, reduced): 6 - 3 on the naive side
         naive = ideal_piece_rank([diff, square_gap], 2, p)
-        assert naive == 3 == runs._eliminated_piece_rank([[diff, square_gap]], 3, 2, p, None)
+        assert naive == 3
+        assert grade_size(3, 2) - naive == 3 == (
+            grade_size(new_n, 2) - ideal_piece_rank(reduced, 2, p))
 
     def test_eliminate_linear_rank_matches_naive(self):
         rng = np.random.default_rng(17)
@@ -439,12 +442,52 @@ class TestOracleRuns:
         assert run.eliminated
 
     def test_elimination_matches_naive_path(self):
-        for n, l, parts in ((4, 2, [2, 1]), (3, 2, [3, 1]), (5, 2, [3, 1])):
-            cfg = PrimeFieldConfig(trials=1, seed=9)
-            auto = oracle_run(inst(n, l, parts), cfg)
-            naive = oracle_run(inst(n, l, parts), cfg, elimination=False)
-            assert auto.eliminated and not naive.eliminated
-            assert auto.secant_dim == naive.secant_dim, (n, l, parts)
+        """Each trial's rank on the elimination path equals the rank of the
+        naive generators of the same points, in all n variables."""
+        cfg = PrimeFieldConfig(trials=2, seed=9)
+        for n, l, parts in ((4, 2, [2, 1]), (3, 2, [3, 1]), (5, 2, [3, 1]),
+                            (3, 2, [1, 1])):
+            run = oracle_run(inst(n, l, parts), cfg)
+            assert run.eliminated
+            for t, rank in enumerate(run.trial_ranks):
+                naive = [g for point in range(l)
+                         for g in runs._point_generators(n, parts, cfg.p, cfg.seed,
+                                                         runs._TAG_ORACLE, t, point)]
+                assert rank == ideal_piece_rank(naive, sum(parts), cfg.p), (n, l, parts, t)
+
+    def test_full_hilbert_eliminates_once_per_trial(self, monkeypatch):
+        calls = []
+        real = runs.eliminate_linear
+        monkeypatch.setattr(runs, "eliminate_linear",
+                            lambda *a: calls.append(1) or real(*a))
+        run = oracle_run(inst(4, 2, [3, 1]), PrimeFieldConfig(trials=3),
+                         want_hilbert=True)
+        assert run.eliminated and len(run.hilbert) == 5
+        assert len(calls) == 3
+
+    def test_engine_takes_the_minimum_and_stops_at_target(self):
+        """A fake sampler whose trial t takes the first t % 3 + 1 of 3
+        variables as generators, so its Hilbert function at degrees 0, 1 is
+        (1, 2 - t % 3)."""
+        p = 10007
+        seen = []
+
+        def sample(trial):
+            seen.append(trial)
+            return 3, [monomial_form(3, e, p)
+                       for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))[:trial % 3 + 1]]
+
+        cfg = PrimeFieldConfig(p=p, trials=5)
+        best, per_trial = runs._hilbert_over_trials(sample, range(2), cfg)
+        assert seen == [0, 1, 2, 3, 4]
+        assert per_trial == [(1, 2), (1, 1), (1, 0), (1, 2), (1, 1)]
+        assert best == (1, 0)
+        seen.clear()
+        best, per_trial = runs._hilbert_over_trials(sample, [1], cfg, target=(1,))
+        assert seen == [0, 1] and per_trial == [(2,), (1,)] and best == (1,)
+        seen.clear()
+        best, per_trial = runs._hilbert_over_trials(sample, [1], cfg, target=(5,))
+        assert seen == [0, 1, 2, 3, 4] and best == (0,)
 
     def test_report_shape(self):
         cfg = PrimeFieldConfig(trials=2, seed=4)

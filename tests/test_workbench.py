@@ -109,10 +109,14 @@ class TestSweep:
         # exact elimination yields the same ranks under any algorithm.
         cfg = small_config(n_range=(3, 4), l_range=(2, 3), d_max=5,
                            families=("general", "linear_factor"))
-        rows, _ = sweep(cfg)
+        rows, summary = sweep(cfg)
         assert len(rows) == 60
         assert hashlib.sha256(render_csv(rows).encode()).hexdigest() == (
             "a29bf146e1ae2708aa08bfffe1c9227946a6f0198565f274d91081c31d362b3e")
+        # The JSON report's digest, taken before the oracle's trial loops
+        # became one engine; unlike the CSV it fixes the key order.
+        assert hashlib.sha256(render_json(rows, summary, cfg).encode()).hexdigest() == (
+            "3c9edeca701e18b36e41b5c5767a4c70eb7981b1403bb4801e20d6e6ae4e9d2a")
 
     @pytest.mark.parametrize("workers,cpus,want", [
         (500, 8, 3), (5, 2, 2), (None, 2, 2), (None, None, None)])
@@ -276,6 +280,15 @@ class TestCli:
                          "2,1", "--trials", "1", "--full-hilbert"]) == 0
         assert "hilbert function:" in capsys.readouterr().out
 
+    def test_oracle_full_hilbert_json_matches_frozen_digest(self, capsys):
+        # Byte digest of the printed JSON (elimination path, key order
+        # included), taken before the oracle's trial loops became one engine.
+        assert cli.main(["oracle", "--n", "4", "--l", "2", "--partition", "3,1",
+                         "--full-hilbert", "--json", "--trials", "2"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "58cae802eb70cf9e7d8d8533ec1318b603ebca337356ae27b8bdf992fd516834")
+
     def test_verify_agreement(self, capsys):
         assert cli.main(["verify", "--n", "6", "--l", "3", "--partition",
                          "2,1", "--trials", "1"]) == 0
@@ -316,6 +329,11 @@ class TestCli:
                          "--partition", "0,1"]) == 2
         assert cli.main(["sweep", "--n-range", "3-4", "--l-range", "2:2",
                          "--d-max", "3", "--out", "/tmp/x.csv"]) == 2
+        # refused before any series is allocated
+        assert cli.main(["series", "--n", "4", "--l", "2", "--partition", "2,1",
+                         "--truncate", "1000000000000"]) == 2
+        assert cli.main(["series", "--n", "4", "--l", "2", "--partition", "2,1",
+                         "--truncate", str(cli.MAX_TRUNCATE + 1)]) == 2
         capsys.readouterr()
 
     def test_resource_guard_exits_4(self, capsys):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .combinatorics import Partition, ProblemInstance, segre_report
@@ -37,6 +38,19 @@ EXIT_GUARD = 4
 # Largest --truncate accepted: the series are lists of big integers built
 # term by term, and 10^4 degrees already take about half a second.
 MAX_TRUNCATE = 10_000
+
+# Largest number of decimal digits a series expansion may write, judged
+# before it starts: its truncate + 1 coefficients are sums of binomials
+# C(j + m - 1, m - 1) over m variables.  10^4 coefficients of a few
+# hundred digits each (n = 100) take about a second.
+MAX_SERIES_DIGITS = 5_000_000
+
+
+def _series_digits(bound: int, m: int) -> float:
+    """Upper bound on the digits of the first bound + 1 coefficients of
+    1/(1-t)^m, m >= 1: each C(j + m - 1, m - 1) with j <= bound is below
+    (bound + m)^min(bound, m - 1)."""
+    return (bound + 1) * (min(bound, m - 1) * math.log10(bound + m) + 1)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -109,6 +123,11 @@ def cmd_series(args) -> int:
     bound = args.truncate
     if not 0 <= bound <= MAX_TRUNCATE:
         raise ValueError(f"need 0 <= --truncate <= {MAX_TRUNCATE}, got {bound}")
+    m = {"numerator": 0, "artinian": 2 * inst.l}.get(args.which, inst.n)
+    if m and _series_digits(bound, m) > MAX_SERIES_DIGITS:
+        raise ValueError(
+            f"a series in {m} variables through degree {bound} would take "
+            f"more than {MAX_SERIES_DIGITS} digits; lower --n or --truncate")
     num = series_pow(reducible_numerator(part), inst.l, bound)
     if args.which == "numerator":
         series = num.as_series(bound)

@@ -12,6 +12,14 @@ whole leaf, so the Python loop runs once per pivot and everything else is
 a float64 BLAS product (in the style of FFLAS/FFPACK, Dumas, Giorgi and
 Pernet, ACM TOMS 2008).
 
+A basis can also start from rows whose pivots are known in advance: the
+shifts of a basis one degree down (`RankAccumulator.shadow`, the Macaulay
+matrix by degree of F4, Faugere, JPAA 1999).  Those rows are unit upper
+triangular on their leading columns.  They are echeloned by the same row
+halving, and each leaf is multiplied by the inverse of its unit triangle,
+so no pivot is searched for.  The inverses of all leaves are computed
+together, as a few products of stacked small matrices.
+
 Products are exact: a float64 sum of integers stays exact while it is
 below 2^53, so a product is cut into k-chunks of _CHUNK and reduced mod p
 after each chunk.  For p below 2^20 one float64 product per chunk is exact;
@@ -70,6 +78,13 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
     if 0 in (m, k, ncols):
         return np.zeros((m, ncols), np.int64)
+    return _product(a, b, p)
+
+
+def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) % p for int64 matrices, or stacks of them, with entries in
+    [0, p) and a nonempty inner dimension."""
+    k = a.shape[-1]
     af = a.astype(np.float64)
     if (p - 1) ** 2 * _CHUNK < _EXACT:
         halves = [(b.astype(np.float64), 0)]
@@ -81,7 +96,8 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     out = None
     for lo in range(0, k, _CHUNK):
         for half, shift in halves:
-            prod = (af[:, lo : lo + _CHUNK] @ half[lo : lo + _CHUNK]).astype(np.int64)
+            prod = (af[..., lo : lo + _CHUNK]
+                    @ half[..., lo : lo + _CHUNK, :]).astype(np.int64)
             prod %= p
             if shift:
                 prod <<= shift
@@ -131,8 +147,9 @@ def _leaf(a: np.ndarray, p: int) -> _Echelon:
     return a[rows][:, free] % p, np.asarray(cols, np.int64), free
 
 
-def _join(ech: _Echelon, bot: np.ndarray, p: int) -> _Echelon:
-    """Echelon form of the rows spanned by ech and the rows of bot."""
+def _join(ech: _Echelon, bot: np.ndarray, p: int, echelon) -> _Echelon:
+    """Echelon form of the rows spanned by ech and the rows of bot; what
+    is left of bot after reduction by ech is echeloned by echelon."""
     x, piv, free = ech
     if not free.size:
         return ech
@@ -144,7 +161,7 @@ def _join(ech: _Echelon, bot: np.ndarray, p: int) -> _Echelon:
     rest = rest[rest.any(axis=1)]
     if not rest.shape[0]:
         return ech
-    y, bp, bf = _echelon(rest, p)
+    y, bp, bf = echelon(rest, p)
     # Clear the new pivot columns out of the old rows.  Fresh large arrays
     # cost page faults, so the old rows are gathered straight into the
     # result (mode="clip" writes without a buffer; bf is in range) and
@@ -164,7 +181,79 @@ def _echelon(a: np.ndarray, p: int) -> _Echelon:
     if a.shape[0] <= _LEAF:
         return _leaf(a, p)
     half = a.shape[0] // 2
-    return _join(_echelon(a[:half], p), a[half:], p)
+    return _join(_echelon(a[:half], p), a[half:], p, _echelon)
+
+
+def _unit_inverses(u: np.ndarray, p: int) -> np.ndarray:
+    """Inverses of a stack of unit upper triangular k x k matrices.
+
+    M = I - U is nilpotent, so U^-1 = (I + M)(I + M^2)(I + M^4)... with
+    log2(k) factors: a few products of the whole stack at once.
+    """
+    k = u.shape[-1]
+    diag = np.arange(k)
+    m = (p - u) % p
+    m[:, diag, diag] = 0
+    inv = m.copy()
+    inv[:, diag, diag] = 1
+    power = m
+    span = 2
+    while span < k:
+        power = _product(power, power, p)
+        inv += _product(inv, power, p)
+        inv %= p
+        span *= 2
+    return inv
+
+
+def _unit_triangular(a: np.ndarray, p: int) -> _Echelon:
+    """Echelon form of unit upper triangular rows, without a pivot search.
+
+    Row i has a unit at its first nonzero column lead[i] and the leads
+    increase, so U = a[:, lead] is unit upper triangular.  The rows are
+    echeloned by the same row halving as _echelon; each half below is zero
+    at the leads above it, so _join only clears the lower leads out of the
+    upper rows, and each leaf arrives with its diagonal block of U as it
+    was.  The leaf is then U_leaf^-1 times its free columns, and the
+    inverses of all diagonal blocks are computed together beforehand.
+    """
+    lead = (a != 0).argmax(axis=1)
+    # The solve relies on this shape; check it rather than assume it.
+    assert np.all(a[np.arange(lead.size), lead] == 1) and np.all(np.diff(lead) > 0)
+    blocks = list(_leaf_blocks(0, a.shape[0]))
+    size = max(hi - lo for lo, hi in blocks)
+    # identity padding keeps short blocks unit triangular
+    u = np.zeros((len(blocks), size, size), np.int64)
+    u[:, np.arange(size), np.arange(size)] = 1
+    for b, (lo, hi) in enumerate(blocks):
+        u[b, : hi - lo, : hi - lo] = a[lo:hi, lead[lo:hi]]
+    inverses = iter(_unit_inverses(u, p))
+
+    def halve(rows: np.ndarray, p: int) -> _Echelon:
+        if rows.shape[0] <= _LEAF:
+            k = rows.shape[0]
+            inv = next(inverses)[:k, :k]
+            leaf_lead = (rows != 0).argmax(axis=1)
+            free = np.ones(rows.shape[1], bool)
+            free[leaf_lead] = False
+            free = np.flatnonzero(free)
+            return matmul_mod(inv, rows[:, free], p), leaf_lead, free
+        half = rows.shape[0] // 2
+        return _join(halve(rows[:half], p), rows[half:], p, halve)
+
+    ech = halve(a, p)
+    assert next(inverses, None) is None
+    return ech
+
+
+def _leaf_blocks(lo: int, hi: int):
+    """Row ranges of the leaves that row halving reaches, top to bottom."""
+    if hi - lo <= _LEAF:
+        yield lo, hi
+    else:
+        half = (hi - lo) // 2
+        yield from _leaf_blocks(lo, lo + half)
+        yield from _leaf_blocks(lo + half, hi)
 
 
 class RankAccumulator:
@@ -174,7 +263,10 @@ class RankAccumulator:
     a unit at each row's pivot column and zeros at every other pivot
     column.  Only its free (non-pivot) columns are stored, so new rows are
     reduced by one product with their pivot-column coefficients and the
-    work shrinks as the rank grows.
+    work shrinks as the rank grows.  Every basis row is also zero left of
+    its pivot: a new pivot is the first nonzero column of a reduced row,
+    and clearing it out of an older row only subtracts a row that is zero
+    left of it.
     """
 
     def __init__(self, ncols: int, p: int):
@@ -203,10 +295,38 @@ class RankAccumulator:
         return out
 
     def add_rows(self, rows: np.ndarray) -> None:
-        rows = np.atleast_2d(np.asarray(rows, np.int64)) % self.p
+        """Join a block of rows; entries outside [0, p) are reduced first,
+        in a copy, and the caller's array is never written to."""
+        rows = np.atleast_2d(np.asarray(rows, np.int64))
         if rows.shape[1] != self.ncols:
             raise ValueError(f"rows have {rows.shape[1]} columns, want {self.ncols}")
-        self._ech = _join(self._ech, rows, self.p)
+        if rows.size and (rows.min() < 0 or rows.max() >= self.p):
+            rows = rows % self.p
+        self._ech = _join(self._ech, rows, self.p, _echelon)
+
+    def shadow(self, table: np.ndarray, ncols: int) -> "RankAccumulator":
+        """A new accumulator over ncols columns holding shifts of this basis.
+
+        Row v of table sends the columns of this space to columns of the
+        new one, strictly increasingly: for graded colex monomials, the
+        rank of x_v * m for each monomial m of the degree below.  The
+        shift of a basis row under row v then has a unit at table[v, pivot]
+        and zeros to its left.  One shift per distinct leading column is
+        kept; sorted by it, the shifts are unit upper triangular on their
+        leads and are echeloned without a pivot search.
+        """
+        p = self.p
+        out = RankAccumulator(ncols, p)
+        x, piv, free = self._ech
+        if not piv.size:
+            return out
+        lead, first = np.unique(table[:, piv], return_index=True)
+        var, row = np.divmod(first, piv.size)
+        t = np.zeros((lead.size, ncols), np.int64)
+        t[np.arange(lead.size)[:, None], table[var[:, None], free]] = x[row]
+        t[np.arange(lead.size), lead] = 1
+        out._ech = _unit_triangular(t, p)
+        return out
 
 
 def rank_of(matrix: np.ndarray, p: int) -> int:

@@ -5,9 +5,23 @@ X_{n-1,lambda} is a product of random forms of degrees lambda, its tangent
 ideal is generated by the r partial products, and dim sigma_l + 1 is the
 rank of the degree-d piece of the sum of l such ideals.  Ranks at a random
 specialization never exceed the generic rank, so the max over trials is a
-certified lower bound that equals the generic value with probability at
-least 1 - (matrix size)/p per trial.  No closed-form prediction is
-consulted anywhere in this module.
+certified lower bound.  A trial misses the generic rank R only if some
+nonzero R x R minor vanishes at its random coefficients.  Each tangent
+generator is a product of r - 1 random factors, so the matrix entries have
+degree r - 1 in those coefficients and the minor has degree R(r - 1); by
+Schwartz-Zippel a trial fails with probability at most R(r - 1)/p.  The
+elimination path has the same ranks as the naive one, so the same bound
+holds there.  froeberg_oracle_r2 ranks plain random forms, whose entries
+are linear, so its bound is R/p.  A run over several degrees fails if any
+degree does, so its bound is the sum over those degrees.  No closed-form
+prediction is consulted anywhere in this module.
+
+Runs that need the whole Hilbert function (oracle_run with want_hilbert,
+the Weak Lefschetz ladder, froeberg_oracle_r2) rank the degrees 0..d in
+order and build each piece on the one below: the degree-(j-1) basis times
+each variable lies in the degree-j piece with known pivots, so only the
+pivots it misses are searched for.  Runs at degree d alone rank that piece
+from scratch.
 """
 
 from __future__ import annotations
@@ -134,9 +148,24 @@ def ideal_piece_rank(generators: Sequence[HomogeneousForm], j: int, p: int,
     peak memory stays flat.  Generators of degree above j contribute
     nothing.
     """
+    acc = _ideal_piece(generators, j, p, max_columns)
+    return 0 if acc is None else acc.rank
+
+
+def _ideal_piece(generators: Sequence[HomogeneousForm], j: int, p: int,
+                 max_columns: Optional[int] = None,
+                 below: Optional[RankAccumulator] = None) -> Optional[RankAccumulator]:
+    """The accumulator behind ideal_piece_rank, or None for a zero piece.
+
+    below, if given, holds the degree-(j-1) piece of the same ideal.  Its
+    basis rows times each variable lie in the degree-j piece, and their
+    pivots are known, so the accumulator starts from those shifts
+    (RankAccumulator.shadow) and only the pivots they miss are searched
+    for among the rows above.  The rank is the same either way.
+    """
     usable = [g for g in generators if g.degree <= j and not g.is_zero]
     if not usable:
-        return 0
+        return None
     n = usable[0].n
     if any(g.n != n for g in usable):
         raise ValueError("generators live in different variable counts")
@@ -147,9 +176,18 @@ def ideal_piece_rank(generators: Sequence[HomogeneousForm], j: int, p: int,
         warnings.warn(
             f"matrix dimension {ncols} is at least p={p}; the per-trial "
             f"failure bound is void",
-            stacklevel=2,
+            stacklevel=3,
         )
-    acc = RankAccumulator(ncols, p)
+    if below is None:
+        acc = RankAccumulator(ncols, p)
+    else:
+        if n * below.ncols <= _GATHER_ENTRIES:
+            shifts = mul_table(n, 1, j - 1)
+        else:
+            shifts = table_rows(n, 1, j - 1, 0, n)
+        acc = below.shadow(shifts, ncols)
+        if acc.rank == ncols:
+            return acc
     step = max(1, _BATCH_ENTRIES // ncols)
     left = sum(grade_size(n, j - g.degree) for g in usable)
     batch = np.zeros((min(step, left), ncols), np.int64)
@@ -174,10 +212,10 @@ def ideal_piece_rank(generators: Sequence[HomogeneousForm], j: int, p: int,
                 acc.add_rows(batch)
                 left -= filled
                 if acc.rank == ncols:
-                    return ncols
+                    return acc
                 batch = np.zeros((min(step, left), ncols), np.int64)
                 filled = 0
-    return acc.rank
+    return acc
 
 
 def _hilbert_over_trials(sample: Callable[[int], tuple], degrees: Sequence[int],
@@ -187,7 +225,9 @@ def _hilbert_over_trials(sample: Callable[[int], tuple], degrees: Sequence[int],
     over trials.
 
     sample(trial) returns (n_vars, forms); the trial's value at degree j is
-    grade_size(n_vars, j) - ideal_piece_rank(forms, j).  A random
+    grade_size(n_vars, j) minus the rank of the degree-j piece of the
+    ideal.  Where degree j - 1 was asked for just before j, the degree-j
+    piece is built on the one below (see _ideal_piece).  A random
     specialization can only have smaller ranks, hence larger values, than
     the generic ideal, so the minimum over trials is the certified bound.
     Trials stop once that minimum equals target.  Returns the minimum and
@@ -197,11 +237,14 @@ def _hilbert_over_trials(sample: Callable[[int], tuple], degrees: Sequence[int],
     per_trial: list[tuple[int, ...]] = []
     for trial in range(cfg.trials):
         n_vars, forms = sample(trial)
-        hf = tuple(
-            grade_size(n_vars, j) - ideal_piece_rank(forms, j, cfg.p,
-                                                     cfg.max_columns)
-            for j in degrees
-        )
+        hf = []
+        acc, prev = None, None
+        for j in degrees:
+            below = acc if prev == j - 1 else None
+            acc = _ideal_piece(forms, j, cfg.p, cfg.max_columns, below)
+            prev = j
+            hf.append(grade_size(n_vars, j) - (0 if acc is None else acc.rank))
+        hf = tuple(hf)
         per_trial.append(hf)
         best = hf if best is None else tuple(map(min, best, hf))
         if best == target:

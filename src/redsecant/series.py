@@ -67,16 +67,6 @@ class TruncatedSeries:
             return self
         return TruncatedSeries(self.coeffs[: new_bound + 1])
 
-    def mul_numerator(self, num: "SeriesNumerator") -> "TruncatedSeries":
-        """Multiply by a sparse polynomial, keeping this window's bound."""
-        out = [0] * (self.bound + 1)
-        for e, c in num.terms:
-            if e > self.bound:
-                continue
-            for j in range(self.bound + 1 - e):
-                out[e + j] += c * self.coeffs[j]
-        return TruncatedSeries(out)
-
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
@@ -129,11 +119,6 @@ class SeriesNumerator:
     @classmethod
     def one(cls) -> "SeriesNumerator":
         return cls([(0, 1)])
-
-    @classmethod
-    def one_minus_t_power(cls, k: int) -> "SeriesNumerator":
-        """(1 - t)^k expanded with exact signs."""
-        return cls((j, (-1) ** j * binom(k, j)) for j in range(k + 1))
 
     @property
     def degree(self) -> int:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from functools import reduce
 from unittest import mock
 
@@ -27,6 +28,7 @@ from redsecant.oracle import (
     is_prime,
     matmul_mod,
     monomial_form,
+    mul_table,
     multiply,
     oracle_run,
     random_form,
@@ -38,7 +40,7 @@ from redsecant.oracle import (
     unrank_exponent,
     wlp_consequence_check,
 )
-from redsecant.oracle import runs
+from redsecant.oracle import modmat, runs
 from redsecant.oracle.modmat import _CHUNK, _LEAF, P_LIMIT
 from redsecant.predictor import predict
 from redsecant.series import expand_rational, reducible_numerator, series_pow
@@ -72,6 +74,13 @@ class TestMonomialIndexing:
         for n, d in ((2, 5), (3, 4), (4, 3), (6, 2)):
             e = exponents(n, d)
             assert np.array_equal(rank_rows(e), np.arange(len(e)))
+
+    def test_colex_is_multiplication_compatible(self):
+        """m < m' implies x_v m < x_v m': every row of mul_table(n, 1, j)
+        strictly increases, which the shifted-basis rows rely on."""
+        for n in range(1, 9):
+            for j in range(9):
+                assert np.all(np.diff(mul_table(n, 1, j), axis=1) > 0), (n, j)
 
     @given(st.integers(min_value=1, max_value=8),
            st.integers(min_value=0, max_value=9))
@@ -182,11 +191,81 @@ class TestBlockedKernel:
         assert len(set(pivots.tolist())) == acc.rank
         assert np.all((basis >= 0) & (basis < p))
         assert np.array_equal(basis[:, pivots], np.eye(acc.rank, dtype=np.int64))
+        # every row is zero left of its pivot
+        assert np.array_equal((basis != 0).argmax(axis=1), pivots)
         # the basis spans the rows it was fed
         assert _reference_rank(np.vstack([basis, matrix]), p) == acc.rank
 
 
-def _reference_rank(matrix, p):
+    def test_add_rows_takes_residues_as_given_and_reduces_the_rest(self):
+        p = 10007
+        rng = np.random.default_rng(5)
+        block = rng.integers(0, p, size=(20, 30), dtype=np.int64)
+        block[3] = block[0]
+        block.flags.writeable = False
+        acc = RankAccumulator(30, p)
+        acc.add_rows(block)
+        assert acc.rank == _reference_rank(block, p) == 19
+        raw = block - p * rng.integers(-3, 4, size=block.shape)
+        assert raw.min() < 0 and raw.max() >= p
+        before = raw.copy()
+        acc = RankAccumulator(30, p)
+        acc.add_rows(raw)
+        assert np.array_equal(raw, before)
+        assert acc.rank == 19
+        assert np.array_equal(_reference_rref(acc.basis, p), _reference_rref(block, p))
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([7, 10007, P_MAX]))
+    @settings(max_examples=30, deadline=None)
+    def test_unit_triangular_solve_matches_reference(self, seed, p):
+        """Rows with a unit at increasing leads and zeros to their left, on
+        both sides of the leaf size, against Gauss-Jordan in Python ints."""
+        rng = np.random.default_rng(seed)
+        k = int(rng.choice([1, 2, _LEAF - 1, _LEAF, _LEAF + 1, 3 * _LEAF + 7]))
+        ncols = k + int(rng.integers(0, 40))
+        lead = np.sort(rng.choice(ncols, k, replace=False))
+        t = rng.integers(0, p, size=(k, ncols), dtype=np.int64)
+        t[rng.random(t.shape) < 0.3] = 0
+        for i, c in enumerate(lead):
+            t[i, :c] = 0
+            t[i, c] = 1
+        x, piv, free = modmat._unit_triangular(t, p)
+        assert np.array_equal(piv, lead)
+        assert np.array_equal(free, np.setdiff1d(np.arange(ncols), lead))
+        basis = np.zeros((k, ncols), np.int64)
+        basis[np.arange(k), piv] = 1
+        basis[:, free] = x
+        assert np.array_equal(basis, _reference_rref(t, p))
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([7, 10007, P_MAX]))
+    @settings(max_examples=20, deadline=None)
+    def test_shadow_is_echeloned_shifts_of_the_basis(self, seed, p):
+        """The shadow of a basis under mul_table(n, 1, j) has one pivot per
+        distinct column x_v * pivot, lies in the span of every product
+        x_v * b, and is in reduced echelon form."""
+        rng = np.random.default_rng(seed)
+        n, j = int(rng.integers(1, 5)), int(rng.integers(0, 4))
+        below = grade_size(n, j)
+        r = int(rng.integers(0, below + 1))
+        rows = rng.integers(0, p, size=(r, below), dtype=np.int64)
+        acc = RankAccumulator(below, p)
+        acc.add_rows(rows)
+        table = mul_table(n, 1, j)
+        shadow = acc.shadow(table, grade_size(n, j + 1))
+        assert np.array_equal(np.sort(shadow.pivots), np.unique(table[:, acc.pivots]))
+        basis = shadow.basis
+        assert np.array_equal(basis[:, shadow.pivots], np.eye(shadow.rank, dtype=np.int64))
+        assert np.array_equal((basis != 0).argmax(axis=1), shadow.pivots)
+        shifts = np.zeros((n * acc.rank, grade_size(n, j + 1)), np.int64)
+        for v in range(n):
+            shifts[v * acc.rank : (v + 1) * acc.rank][:, table[v]] = acc.basis
+        assert _reference_rank(np.vstack([shifts, basis]), p) == _reference_rank(shifts, p)
+
+
+def _reference_rref(matrix, p):
+    """Nonzero rows of the reduced row echelon form, by Python integers."""
     rows = [list(map(int, row)) for row in matrix]
     ncols = len(rows[0]) if rows else 0
     rank = 0
@@ -202,7 +281,11 @@ def _reference_rank(matrix, p):
                 c = rows[i][col]
                 rows[i] = [(v - c * w) % p for v, w in zip(rows[i], rows[rank])]
         rank += 1
-    return rank
+    return np.array(rows[:rank], np.int64).reshape(rank, ncols)
+
+
+def _reference_rank(matrix, p):
+    return len(_reference_rref(matrix, p))
 
 
 def _evaluate(form, point, p):
@@ -416,6 +499,53 @@ class TestIdealPieceRank:
             assert [rows for rows, _ in blocks] == want, step
             assert all(whole for _, whole in blocks), step
             assert got == want_rank
+
+    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=6),
+           st.sampled_from([7, 10007, P_MAX]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_by_degree_ranks_match_each_degree_alone(self, n, d, p, data):
+        """The engine builds each degree's piece on the one below; its
+        Hilbert function equals one ideal_piece_rank per degree.  Random
+        forms of mixed degrees (constants included), monomials, a zero
+        form and p = 7, where random forms often degenerate, are drawn."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        degrees = data.draw(st.lists(st.integers(0, d + 1), max_size=5))
+        gens = [random_form(n, e, p, rng) for e in degrees]
+        for e in data.draw(st.lists(st.integers(1, max(1, d)), max_size=4)):
+            gens.append(monomial_form(n, rng.multinomial(e, [1 / n] * n), p))
+        if data.draw(st.booleans()):
+            gens.append(HomogeneousForm(n, 1, np.zeros(n)))
+        cfg = PrimeFieldConfig(p=p, trials=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            best, per_trial = runs._hilbert_over_trials(lambda t: (n, gens),
+                                                        range(d + 1), cfg)
+            want = tuple(grade_size(n, j) - ideal_piece_rank(gens, j, p)
+                         for j in range(d + 1))
+        assert per_trial == [want] and best == want
+
+    @given(st.sampled_from([(3, 2, (1, 1)), (4, 2, (1, 1)), (3, 1, (1, 1)),
+                            (4, 2, (2, 1)), (3, 3, (2, 1)), (5, 2, (3, 1))]),
+           st.sampled_from([7, 10007, P_MAX]), st.integers(0, 1000))
+    @settings(max_examples=20, deadline=None)
+    def test_by_degree_ranks_on_the_elimination_path(self, case, p, seed):
+        """Full-Hilbert runs that remove linear generators first, including
+        runs where they span every variable (new_n = 0), against the
+        naive generators of the same points one degree at a time."""
+        n, l, parts = case
+        cfg = PrimeFieldConfig(p=p, trials=2, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run = oracle_run(inst(n, l, list(parts)), cfg, want_hilbert=True)
+            want = None
+            for t in range(cfg.trials):
+                naive = [g for point in range(l)
+                         for g in runs._point_generators(n, parts, p, seed,
+                                                         runs._TAG_ORACLE, t, point)]
+                hf = tuple(grade_size(n, j) - ideal_piece_rank(naive, j, p)
+                           for j in range(sum(parts) + 1))
+                want = hf if want is None else tuple(map(min, want, hf))
+        assert run.eliminated and run.hilbert == want
 
     def test_column_guard(self):
         rng = np.random.default_rng(3)

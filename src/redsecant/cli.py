@@ -23,6 +23,7 @@ from .predictor import (
     threshold_l0,
 )
 from .series import (
+    SeriesNumerator,
     expand_rational,
     predicted_hilbert,
     reducible_numerator,
@@ -51,6 +52,15 @@ def _series_digits(bound: int, m: int) -> float:
     1/(1-t)^m, m >= 1: each C(j + m - 1, m - 1) with j <= bound is below
     (bound + m)^min(bound, m - 1)."""
     return (bound + 1) * (min(bound, m - 1) * math.log10(bound + m) + 1)
+
+
+def _power_digits(num: SeriesNumerator, l: int, bound: int) -> float:
+    """Upper bound on the digits of num^l cut after degree bound: at most
+    min(bound, l * deg num) + 1 terms, each coefficient at most the l-th
+    power of the sum of num's absolute coefficients."""
+    top = max(e for e, _ in num.terms)
+    norm = sum(abs(c) for _, c in num.terms)
+    return (min(bound, l * top) + 1) * (l * math.log10(norm) + 1)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -128,7 +138,12 @@ def cmd_series(args) -> int:
         raise ValueError(
             f"a series in {m} variables through degree {bound} would take "
             f"more than {MAX_SERIES_DIGITS} digits; lower --n or --truncate")
-    num = series_pow(reducible_numerator(part), inst.l, bound)
+    base = reducible_numerator(part)
+    if _power_digits(base, inst.l, bound) > MAX_SERIES_DIGITS:
+        raise ValueError(
+            f"the numerator's {inst.l}-th power through degree {bound} would "
+            f"take more than {MAX_SERIES_DIGITS} digits; lower --l or --truncate")
+    num = series_pow(base, inst.l, bound)
     if args.which == "numerator":
         series = num.as_series(bound)
     elif args.which == "join":

@@ -14,11 +14,14 @@ Pernet, ACM TOMS 2008).
 
 A basis can also start from rows whose pivots are known in advance: the
 shifts of a basis one degree down (`RankAccumulator.shadow`, the Macaulay
-matrix by degree of F4, Faugere, JPAA 1999).  Those rows are unit upper
-triangular on their leading columns.  They are echeloned by the same row
-halving, and each leaf is multiplied by the inverse of its unit triangle,
-so no pivot is searched for.  The inverses of all leaves are computed
-together, as a few products of stacked small matrices.
+matrix by degree of F4, Faugere, JPAA 1999).  The shifts by one variable,
+row 0 of the shift table, are already in reduced echelon form, so that
+block is built directly.  The other kept shifts are unit upper triangular
+on their leading columns, and stay so after reduction by that block.
+They are echeloned by the same row halving, and each leaf is multiplied
+by the inverse of its unit triangle, so no pivot is searched for.  The
+inverses of all leaves are computed together, as a few products of
+stacked small matrices.
 
 Products are exact: a float64 sum of integers stays exact while it is
 below 2^53, so a product is cut into k-chunks of _CHUNK and reduced mod p
@@ -312,20 +315,34 @@ class RankAccumulator:
         rank of x_v * m for each monomial m of the degree below.  The
         shift of a basis row under row v then has a unit at table[v, pivot]
         and zeros to its left.  One shift per distinct leading column is
-        kept; sorted by it, the shifts are unit upper triangular on their
-        leads and are echeloned without a pivot search.
+        kept, the first in the order of table's rows, so every shift under
+        row 0 is kept.  Those are already in reduced echelon form, since
+        each basis row is zero at every other pivot and row 0 of table is
+        injective, so they are scattered into place as they are.  The
+        other kept shifts, sorted by lead, stay unit upper triangular on
+        their leads after reduction by them (every row subtracted has its
+        lead further right) and are echeloned without a pivot search.
         """
         p = self.p
         out = RankAccumulator(ncols, p)
         x, piv, free = self._ech
         if not piv.size:
             return out
-        lead, first = np.unique(table[:, piv], return_index=True)
+        lead0 = table[0, piv]
+        free0 = np.ones(ncols, bool)
+        free0[lead0] = False
+        free0 = np.flatnonzero(free0)
+        x0 = np.zeros((piv.size, free0.size), np.int64)
+        x0[:, np.searchsorted(free0, table[0, free])] = x
+        ech0 = (x0, lead0, free0)
+        lead, first = np.unique(table[1:, piv], return_index=True)
+        rest = ~np.isin(lead, lead0, assume_unique=True)
+        lead, first = lead[rest], first[rest]
         var, row = np.divmod(first, piv.size)
         t = np.zeros((lead.size, ncols), np.int64)
-        t[np.arange(lead.size)[:, None], table[var[:, None], free]] = x[row]
+        t[np.arange(lead.size)[:, None], table[1 + var[:, None], free]] = x[row]
         t[np.arange(lead.size), lead] = 1
-        out._ech = _unit_triangular(t, p)
+        out._ech = _join(ech0, t, p, _unit_triangular)
         return out
 
 

@@ -13,15 +13,20 @@ Schwartz-Zippel a trial fails with probability at most R(r - 1)/p.  The
 elimination path has the same ranks as the naive one, so the same bound
 holds there.  froeberg_oracle_r2 ranks plain random forms, whose entries
 are linear, so its bound is R/p.  A run over several degrees fails if any
-degree does, so its bound is the sum over those degrees.  No closed-form
-prediction is consulted anywhere in this module.
+degree does, so its bound is the sum over those degrees.  Taking R at most
+the column count, oracle_run, the ladder levels and froeberg_oracle_r2
+warn once per run when that sum reaches 1.  No closed-form prediction is
+consulted anywhere in this module.
 
 Runs that need the whole Hilbert function (oracle_run with want_hilbert,
 the Weak Lefschetz ladder, froeberg_oracle_r2) rank the degrees 0..d in
 order and build each piece on the one below: the degree-(j-1) basis times
 each variable lies in the degree-j piece with known pivots, so only the
-pivots it misses are searched for.  Runs at degree d alone rank that piece
-from scratch.
+pivots it misses are searched for.  Those shifts include x_{n-1} times
+the whole degree-(j-1) piece, so the rows m * G of a lower-degree
+generator G with x_{n-1} dividing m already lie in their span and are
+skipped; no row the rank depends on is dropped, so the ranks are exact.
+Runs at degree d alone rank that piece from scratch.
 """
 
 from __future__ import annotations
@@ -127,6 +132,21 @@ def _rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, *path)))
 
 
+def _warn_failure_bound(columns: int, degree: int, p: int) -> None:
+    """Warn when a run's per-trial failure bound reaches 1.
+
+    columns is the sum, over the degrees the run ranks, of the matrix
+    widths there, which bound the ranks R; degree is that of the matrix
+    entries in the random coefficients.  The bound is columns * degree / p.
+    """
+    if columns * degree >= p:
+        warnings.warn(
+            f"per-trial failure bound {columns} x {degree} / p is at least 1 "
+            f"at p={p}; a trial's rank certifies nothing",
+            stacklevel=3,
+        )
+
+
 def _point_generators(n: int, parts: Sequence[int], p: int, seed: int,
                       tag: int, trial: int, point: int) -> tuple[HomogeneousForm, ...]:
     factors = [
@@ -161,7 +181,13 @@ def _ideal_piece(generators: Sequence[HomogeneousForm], j: int, p: int,
     basis rows times each variable lie in the degree-j piece, and their
     pivots are known, so the accumulator starts from those shifts
     (RankAccumulator.shadow) and only the pivots they miss are searched
-    for among the rows above.  The rank is the same either way.
+    for among the rows above.  The shadow keeps every shift by x* =
+    x_{n-1}, the variable of row 0 of mul_table(n, 1, j-1), so it spans
+    x* times the degree-(j-1) piece, and with it every row m * G with x*
+    dividing m and deg G < j.  Those rows are not fed: in colex order
+    they are the first grade_size(n, a) - grade_size(n-1, a) monomials
+    of degree a = j - deg G, so each generator's rows start after them.
+    The rank is the same either way.
     """
     usable = [g for g in generators if g.degree <= j and not g.is_zero]
     if not usable:
@@ -172,14 +198,10 @@ def _ideal_piece(generators: Sequence[HomogeneousForm], j: int, p: int,
     ncols = grade_size(n, j)
     if max_columns is not None and ncols > max_columns:
         raise ResourceGuardExceeded(ncols, max_columns, f"degree-{j} piece")
-    if ncols >= p:
-        warnings.warn(
-            f"matrix dimension {ncols} is at least p={p}; the per-trial "
-            f"failure bound is void",
-            stacklevel=3,
-        )
+    counts = [grade_size(n, j - g.degree) for g in usable]
     if below is None:
         acc = RankAccumulator(ncols, p)
+        starts = [0] * len(usable)
     else:
         if n * below.ncols <= _GATHER_ENTRIES:
             shifts = mul_table(n, 1, j - 1)
@@ -188,17 +210,16 @@ def _ideal_piece(generators: Sequence[HomogeneousForm], j: int, p: int,
         acc = below.shadow(shifts, ncols)
         if acc.rank == ncols:
             return acc
+        starts = [m - grade_size(n - 1, j - g.degree) for g, m in zip(usable, counts)]
     step = max(1, _BATCH_ENTRIES // ncols)
-    left = sum(grade_size(n, j - g.degree) for g in usable)
+    left = sum(counts) - sum(starts)
     batch = np.zeros((min(step, left), ncols), np.int64)
     filled = 0
-    for g in usable:
+    for g, lo, nrows in zip(usable, starts, counts):
         a, b = j - g.degree, g.degree
-        nrows = grade_size(n, a)
         table = None
         if nrows * g.coeffs.size <= _GATHER_ENTRIES:
             table = mul_table(n, a, b)
-        lo = 0
         while lo < nrows:
             hi = min(nrows, lo + batch.shape[0] - filled)
             if table is not None:
@@ -347,6 +368,7 @@ def oracle_run(inst: ProblemInstance, cfg: PrimeFieldConfig,
         return new_n, reduced
 
     degrees = range(d + 1) if want_hilbert else [d]
+    _warn_failure_bound(sum(grade_size(n, j) for j in degrees), part.r - 1, cfg.p)
     best, per_trial = _hilbert_over_trials(sample, degrees, cfg)
     trial_ranks = [big_n - hf[-1] for hf in per_trial]
     max_rank = big_n - best[-1]
@@ -425,6 +447,8 @@ def _ladder_level(n_vars: int, parts: tuple[int, ...], l: int,
                 f"columns, guard is {cfg.max_columns}"
             ),
         )
+
+    _warn_failure_bound(grade_size(n_vars + 1, d), len(parts) - 1, cfg.p)
 
     def sample(trial: int):
         return n_vars, [g for point in range(l)
@@ -526,6 +550,7 @@ def froeberg_oracle_r2(n: int, l: int, k: int, d: int,
     if ncols > cfg.max_columns:
         raise ResourceGuardExceeded(ncols, cfg.max_columns,
                                     f"generic-forms run (n={n}, d={d})")
+    _warn_failure_bound(grade_size(n + 1, d), 1, cfg.p)
 
     def sample(trial: int):
         return n, [random_form(n, e, cfg.p, _rng(cfg.seed, _TAG_FROEBERG, n, trial, i))

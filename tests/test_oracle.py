@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from redsecant.combinatorics import (
@@ -240,28 +240,41 @@ class TestBlockedKernel:
 
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.sampled_from([7, 10007, P_MAX]))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=30, deadline=None)
     def test_shadow_is_echeloned_shifts_of_the_basis(self, seed, p):
-        """The shadow of a basis under mul_table(n, 1, j) has one pivot per
-        distinct column x_v * pivot, lies in the span of every product
-        x_v * b, and is in reduced echelon form."""
+        """The shadow of a basis under mul_table(n, 1, j) keeps, for each
+        distinct column x_v * pivot, the first shift in the order
+        (variable, basis row): every shift by x_{n-1} (row 0 of the table)
+        and the others whose leads are new.  Its basis is the reduced
+        echelon form of exactly those rows, with one pivot per lead."""
         rng = np.random.default_rng(seed)
-        n, j = int(rng.integers(1, 5)), int(rng.integers(0, 4))
+        n, j = int(rng.integers(1, 6)), int(rng.integers(0, 4))
         below = grade_size(n, j)
         r = int(rng.integers(0, below + 1))
-        rows = rng.integers(0, p, size=(r, below), dtype=np.int64)
+        u = rng.integers(0, p, size=(below + 3, r)).astype(object)
+        v = rng.integers(0, p, size=(r, below)).astype(object)
+        v[:, rng.random(below) < 0.3] = 0
         acc = RankAccumulator(below, p)
-        acc.add_rows(rows)
+        acc.add_rows(((u @ v) % p).astype(np.int64) if r else np.zeros((1, below), np.int64))
         table = mul_table(n, 1, j)
-        shadow = acc.shadow(table, grade_size(n, j + 1))
-        assert np.array_equal(np.sort(shadow.pivots), np.unique(table[:, acc.pivots]))
-        basis = shadow.basis
-        assert np.array_equal(basis[:, shadow.pivots], np.eye(shadow.rank, dtype=np.int64))
-        assert np.array_equal((basis != 0).argmax(axis=1), shadow.pivots)
-        shifts = np.zeros((n * acc.rank, grade_size(n, j + 1)), np.int64)
-        for v in range(n):
-            shifts[v * acc.rank : (v + 1) * acc.rank][:, table[v]] = acc.basis
-        assert _reference_rank(np.vstack([shifts, basis]), p) == _reference_rank(shifts, p)
+        ncols = grade_size(n, j + 1)
+        assert np.array_equal(exponents(n, 1)[0], np.eye(n, dtype=np.int32)[n - 1])
+        kept, leads = [], set()
+        for var in range(n):
+            for row, piv in zip(acc.basis, acc.pivots):
+                lead = int(table[var, piv])
+                if lead in leads:
+                    assert var > 0
+                    continue
+                leads.add(lead)
+                shift = np.zeros(ncols, np.int64)
+                shift[table[var]] = row
+                kept.append(shift)
+        shadow = acc.shadow(table, ncols)
+        assert np.array_equal(np.sort(shadow.pivots), sorted(leads))
+        order = np.argsort(shadow.pivots)
+        want = _reference_rref(kept, p) if kept else np.zeros((0, ncols), np.int64)
+        assert np.array_equal(shadow.basis[order], want)
 
 
 def _reference_rref(matrix, p):
@@ -516,12 +529,10 @@ class TestIdealPieceRank:
         if data.draw(st.booleans()):
             gens.append(HomogeneousForm(n, 1, np.zeros(n)))
         cfg = PrimeFieldConfig(p=p, trials=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            best, per_trial = runs._hilbert_over_trials(lambda t: (n, gens),
-                                                        range(d + 1), cfg)
-            want = tuple(grade_size(n, j) - ideal_piece_rank(gens, j, p)
-                         for j in range(d + 1))
+        best, per_trial = runs._hilbert_over_trials(lambda t: (n, gens),
+                                                    range(d + 1), cfg)
+        want = tuple(grade_size(n, j) - ideal_piece_rank(gens, j, p)
+                     for j in range(d + 1))
         assert per_trial == [want] and best == want
 
     @given(st.sampled_from([(3, 2, (1, 1)), (4, 2, (1, 1)), (3, 1, (1, 1)),
@@ -546,6 +557,53 @@ class TestIdealPieceRank:
                            for j in range(sum(parts) + 1))
                 want = hf if want is None else tuple(map(min, want, hf))
         assert run.eliminated and run.hilbert == want
+
+    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=6),
+           st.sampled_from([7, 10007, P_MAX]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_shadowed_degree_feeds_only_rows_off_x_star(self, n, j, p, data):
+        """Built on the degree below, the degree-j piece is fed exactly the
+        brute-force rows m * G whose monomial m is free of x_{n-1}, the
+        variable of row 0 of mul_table(n, 1, j-1), in order; the rows with
+        x_{n-1} dividing m lie in the shadow's span.  The rank is that of
+        all the rows.  Generators of mixed degrees, a zero form, one above
+        degree j, small blocks and refused tables are drawn."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        degrees = data.draw(st.lists(st.integers(0, j - 1), min_size=1, max_size=3))
+        degrees += [j] * data.draw(st.integers(0, 2))
+        gens = [random_form(n, e, p, rng) for e in degrees]
+        gens.append(HomogeneousForm(n, j - 1, np.zeros(grade_size(n, j - 1))))
+        gens.append(random_form(n, j + 1, p, rng))
+        below = runs._ideal_piece(gens, j - 1, p)
+        assume(below is not None)
+        gather = data.draw(st.sampled_from([runs._GATHER_ENTRIES, 0]))
+        batch = data.draw(st.sampled_from([runs._BATCH_ENTRIES, 1, 3 * grade_size(n, j)]))
+        fed = []
+        add_rows = RankAccumulator.add_rows
+
+        def record(acc, rows):
+            fed.extend(np.array(rows))
+            return add_rows(acc, rows)
+
+        def refuse(*args):
+            raise ValueError("table refused")
+
+        table = refuse if gather == 0 else runs.mul_table
+        with mock.patch.object(runs, "_GATHER_ENTRIES", gather), \
+                mock.patch.object(runs, "mul_table", table), \
+                mock.patch.object(runs, "_BATCH_ENTRIES", batch), \
+                mock.patch.object(RankAccumulator, "add_rows", record):
+            acc = runs._ideal_piece(gens, j, p, below=below)
+        assert exponents(n, 1)[0][n - 1] == 1
+        want = [multiply(g, monomial_form(n, m, p), p).coeffs
+                for g in gens if g.degree <= j and not g.is_zero
+                for m in exponents(n, j - g.degree).tolist() if m[n - 1] == 0]
+        if acc.rank < grade_size(n, j):
+            assert len(fed) == len(want)
+        assert len(fed) <= len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(fed, want))
+        rows = _brute_rows(gens, j, p)
+        assert acc.rank == rank_of(np.array(rows), p)
 
     def test_column_guard(self):
         rng = np.random.default_rng(3)
@@ -673,6 +731,29 @@ class TestOracleRuns:
                 for k in range(2, d // 2 + 1):
                     got = oracle_run(inst(n, l, [d - k, k]), cfg).secant_dim
                     assert got <= top, (n, l, d, k)
+
+    def test_failure_bound_warns_once_per_run(self):
+        """35 columns at degree 4 times entries of degree r - 1 = 3 pass
+        p = 101, though 35 alone does not; a full-Hilbert run sums its
+        degrees and still warns once.  At a large prime nothing warns."""
+        cfg = PrimeFieldConfig(p=101, trials=2)
+        with pytest.warns(UserWarning, match="failure bound") as caught:
+            oracle_run(inst(4, 2, [1, 1, 1, 1]), cfg)
+        assert len(caught) == 1
+        with pytest.warns(UserWarning, match="failure bound") as caught:
+            oracle_run(inst(4, 2, [1, 1, 1, 1]), cfg, want_hilbert=True)
+        assert len(caught) == 1
+        # linear entries: 1 + 3 + 6 columns over degrees 0..2 reach p = 7
+        with pytest.warns(UserWarning, match="failure bound"):
+            froeberg_oracle_r2(3, 1, 1, 2, PrimeFieldConfig(p=7, trials=1))
+        # two ladder levels in 4 and 3 variables, 15 and 10 columns
+        with pytest.warns(UserWarning, match="failure bound") as caught:
+            wlp_consequence_check(inst(3, 2, [1, 1]), PrimeFieldConfig(p=13, trials=1))
+        assert len(caught) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            oracle_run(inst(4, 2, [1, 1, 1, 1]), PrimeFieldConfig(trials=1),
+                       want_hilbert=True)
 
     def test_guard_names_the_context(self):
         with pytest.raises(ResourceGuardExceeded) as err:

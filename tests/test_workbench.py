@@ -336,12 +336,20 @@ class TestCli:
                          "--truncate", str(cli.MAX_TRUNCATE + 1)]) == 2
         assert cli.main(["series", "--n", "100000000", "--l", "2", "--partition", "2,1",
                          "--truncate", "10000", "--which", "join"]) == 2
+        # a numerator power too large to expand
+        assert cli.main(["series", "--n", "4", "--l", "2000", "--partition", "3,2",
+                         "--truncate", "10000", "--which", "join"]) == 2
         capsys.readouterr()
         # a wide ring is fine through a short window
         assert cli.main(["series", "--n", "100000000", "--l", "2", "--partition", "2,1",
                          "--truncate", "3", "--which", "join"]) == 0
         # numerator 1 - 2t + ..., so the t coefficient is n - 2
         assert json.loads(capsys.readouterr().out)[1] == 100000000 - 2
+        # and a high power through a short window
+        assert cli.main(["series", "--n", "4", "--l", "300", "--partition", "3,2",
+                         "--truncate", "100", "--which", "join"]) == 0
+        # (1 - t^2)^300 (1 - t^3)^300 / (1-t)^4 = 1 + 4t + (10 - 300)t^2 + ...
+        assert json.loads(capsys.readouterr().out)[:3] == [1, 4, -290]
 
     def test_resource_guard_exits_4(self, capsys):
         assert cli.main(["oracle", "--n", "5", "--l", "4", "--partition",

@@ -46,6 +46,13 @@ MAX_TRUNCATE = 10_000
 # hundred digits each (n = 100) take about a second.
 MAX_SERIES_DIGITS = 5_000_000
 
+# Largest number of coefficient products a series expansion may make,
+# judged before it starts: each term of the numerator's power meets up to
+# truncate + 1 coefficients of 1/(1-t)^m, and the power's own products are
+# no more.  The 1.5 * 10^7 of --n 4 --l 300 --partition 3,2 through degree
+# 10^4 take about 4 s.
+MAX_SERIES_WORK = 20_000_000
+
 
 def _series_digits(bound: int, m: int) -> float:
     """Upper bound on the digits of the first bound + 1 coefficients of
@@ -54,13 +61,17 @@ def _series_digits(bound: int, m: int) -> float:
     return (bound + 1) * (min(bound, m - 1) * math.log10(bound + m) + 1)
 
 
+def _power_terms(num: SeriesNumerator, l: int, bound: int) -> int:
+    """Upper bound on the terms of num^l cut after degree bound."""
+    return min(bound, l * num.degree) + 1
+
+
 def _power_digits(num: SeriesNumerator, l: int, bound: int) -> float:
-    """Upper bound on the digits of num^l cut after degree bound: at most
-    min(bound, l * deg num) + 1 terms, each coefficient at most the l-th
-    power of the sum of num's absolute coefficients."""
-    top = max(e for e, _ in num.terms)
+    """Upper bound on the digits of num^l cut after degree bound: each of
+    its terms has a coefficient at most the l-th power of the sum of num's
+    absolute coefficients."""
     norm = sum(abs(c) for _, c in num.terms)
-    return (min(bound, l * top) + 1) * (l * math.log10(norm) + 1)
+    return _power_terms(num, l, bound) * (l * math.log10(norm) + 1)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -143,6 +154,11 @@ def cmd_series(args) -> int:
         raise ValueError(
             f"the numerator's {inst.l}-th power through degree {bound} would "
             f"take more than {MAX_SERIES_DIGITS} digits; lower --l or --truncate")
+    if _power_terms(base, inst.l, bound) * (bound + 1) > MAX_SERIES_WORK:
+        raise ValueError(
+            f"expanding the numerator's {inst.l}-th power through degree "
+            f"{bound} would take more than {MAX_SERIES_WORK} coefficient "
+            f"products; lower --l or --truncate")
     num = series_pow(base, inst.l, bound)
     if args.which == "numerator":
         series = num.as_series(bound)

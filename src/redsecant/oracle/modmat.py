@@ -13,11 +13,12 @@ a float64 BLAS product (in the style of FFLAS/FFPACK, Dumas, Giorgi and
 Pernet, ACM TOMS 2008).
 
 A basis can also start from rows whose pivots are known in advance: the
-shifts of a basis one degree down (`RankAccumulator.shadow`, the Macaulay
-matrix by degree of F4, Faugere, JPAA 1999).  The shifts by one variable,
-row 0 of the shift table, are already in reduced echelon form, so that
-block is built directly.  The other kept shifts are unit upper triangular
-on their leading columns, and stay so after reduction by that block.
+products of a basis in a lower degree by monomials
+(`RankAccumulator.shadow`, the Macaulay matrix by degree of F4, Faugere,
+JPAA 1999).  The products by x_{n-1}^a, row 0 of the multiplication
+table, are already in reduced echelon form, so that block is built
+directly.  The other kept products are unit upper triangular on their
+leading columns, and stay so after reduction by that block.
 They are echeloned by the same row halving, and each leaf is multiplied
 by the inverse of its unit triangle, so no pivot is searched for.  The
 inverses of all leaves are computed together, as a few products of
@@ -307,27 +308,36 @@ class RankAccumulator:
             rows = rows % self.p
         self._ech = _join(self._ech, rows, self.p, _echelon)
 
-    def shadow(self, table: np.ndarray, ncols: int) -> "RankAccumulator":
-        """A new accumulator over ncols columns holding shifts of this basis.
+    def shadow(self, table: np.ndarray,
+               ncols: int) -> tuple["RankAccumulator", np.ndarray]:
+        """A new accumulator over ncols columns holding products of this
+        basis, and the products it holds.
 
-        Row v of table sends the columns of this space to columns of the
-        new one, strictly increasingly: for graded colex monomials, the
-        rank of x_v * m for each monomial m of the degree below.  The
-        shift of a basis row under row v then has a unit at table[v, pivot]
-        and zeros to its left.  One shift per distinct leading column is
-        kept, the first in the order of table's rows, so every shift under
-        row 0 is kept.  Those are already in reduced echelon form, since
-        each basis row is zero at every other pivot and row 0 of table is
-        injective, so they are scattered into place as they are.  The
-        other kept shifts, sorted by lead, stay unit upper triangular on
-        their leads after reduction by them (every row subtracted has its
-        lead further right) and are echeloned without a pivot search.
+        Row m of table sends the columns of this space to columns of the
+        new one, strictly increasingly: for graded colex monomials,
+        mul_table(n, a, e) with this space the degree-e piece, whose row m
+        gives the rank of x^m * x^c for each monomial x^c of degree e.
+        Multiplying by any monomial is strictly increasing in colex, so the
+        product of a basis row by row m has a unit at table[m, pivot] and
+        zeros to its left.  One product per distinct leading column is
+        kept, the first in the order (row of table, basis row); kept[m, i]
+        says whether the product of basis row i by row m was.  Row 0 of
+        mul_table (x_{n-1}^a) is injective, so every product by it is
+        kept, and those are already in reduced echelon form, since each
+        basis row is zero at every other pivot: they are scattered into
+        place as they are.  The other kept products, sorted by lead, stay
+        unit upper triangular on their leads after reduction by them (every
+        row subtracted has its lead further right) and are echeloned
+        without a pivot search.  None of this depends on a, so a table of
+        any degree works unchanged.
         """
         p = self.p
         out = RankAccumulator(ncols, p)
         x, piv, free = self._ech
+        kept = np.zeros((table.shape[0], piv.size), bool)
         if not piv.size:
-            return out
+            return out, kept
+        kept[0] = True
         lead0 = table[0, piv]
         free0 = np.ones(ncols, bool)
         free0[lead0] = False
@@ -338,12 +348,14 @@ class RankAccumulator:
         lead, first = np.unique(table[1:, piv], return_index=True)
         rest = ~np.isin(lead, lead0, assume_unique=True)
         lead, first = lead[rest], first[rest]
-        var, row = np.divmod(first, piv.size)
+        mult, row = np.divmod(first, piv.size)
+        mult += 1
+        kept[mult, row] = True
         t = np.zeros((lead.size, ncols), np.int64)
-        t[np.arange(lead.size)[:, None], table[1 + var[:, None], free]] = x[row]
+        t[np.arange(lead.size)[:, None], table[mult[:, None], free]] = x[row]
         t[np.arange(lead.size), lead] = 1
         out._ech = _join(ech0, t, p, _unit_triangular)
-        return out
+        return out, kept
 
 
 def rank_of(matrix: np.ndarray, p: int) -> int:

@@ -25,8 +25,12 @@ each variable lies in the degree-j piece with known pivots, so only the
 pivots it misses are searched for.  Those shifts include x_{n-1} times
 the whole degree-(j-1) piece, so the rows m * G of a lower-degree
 generator G with x_{n-1} dividing m already lie in their span and are
-skipped; no row the rank depends on is dropped, so the ranks are exact.
-Runs at degree d alone rank that piece from scratch.
+skipped.  Runs at degree d alone (oracle_run, sweeps) start the piece
+from the generators of the lowest degree e0 < d instead: their echelon
+basis times every monomial of degree d - e0, of which one product per
+distinct lead has a known pivot.  Only the products left out of that
+start are fed, then the rows of the higher-degree generators.  Either way
+no row outside the span already held is dropped, so the ranks are exact.
 """
 
 from __future__ import annotations
@@ -129,7 +133,23 @@ _TAG_FROEBERG = 2
 
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, *path)))
+    """The stream of default_rng(SeedSequence(entropy=(seed, *path))).
+
+    SeedSequence builds its pool from the little-endian 32-bit words of
+    each int, at least one word per int.  Handing it those words as a
+    uint32 array builds the same pool without its coercion in Python.
+    """
+    words = []
+    for x in (seed, *path):
+        if x < 0:
+            raise ValueError(f"need nonnegative seed words, got {x}")
+        words.append(x & 0xFFFFFFFF)
+        x >>= 32
+        while x:
+            words.append(x & 0xFFFFFFFF)
+            x >>= 32
+    seq = np.random.SeedSequence(np.array(words, np.uint32))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def _warn_failure_bound(columns: int, degree: int, p: int) -> None:
@@ -160,16 +180,35 @@ def ideal_piece_rank(generators: Sequence[HomogeneousForm], j: int, p: int,
                      max_columns: Optional[int] = None) -> int:
     """Rank over Z/p of the degree-j piece of the ideal the forms generate.
 
-    Rows are coefficient vectors of m * G for every generator G and every
-    monomial m of degree j - deg G, in the order of exponents(n, j - deg G);
-    the columns of the row for m are row m of mul_table(n, j - deg G,
-    deg G).  Rows are stacked across generators into blocks of at most
-    _BATCH_ENTRIES entries, so the rank kernel sees few large blocks while
-    peak memory stays flat.  Generators of degree above j contribute
-    nothing.
+    The piece is spanned by m * G for every generator G and every monomial
+    m of degree j - deg G; the columns of the row for m are row m of
+    mul_table(n, j - deg G, deg G).  Generators of degree above j
+    contribute nothing.  The rows actually fed to the rank kernel are
+    fewer (see _ideal_piece), and they are stacked into blocks of at most
+    _BATCH_ENTRIES entries, so the kernel sees few large blocks while peak
+    memory stays flat.
     """
     acc = _ideal_piece(generators, j, p, max_columns)
     return 0 if acc is None else acc.rank
+
+
+def _shift_table(n: int, a: int, b: int) -> np.ndarray:
+    """mul_table(n, a, b), or the same rows computed uncached when the
+    table would hold more than _GATHER_ENTRIES entries."""
+    rows = grade_size(n, a)
+    if rows * grade_size(n, b) <= _GATHER_ENTRIES:
+        return mul_table(n, a, b)
+    return table_rows(n, a, b, 0, rows)
+
+
+def _generator_rows(g: HomogeneousForm, j: int) -> Callable:
+    """rows(lo, hi): the columns and values of the rows m * g for the
+    monomials m of degree j - deg g ranked lo..hi."""
+    n, a, b = g.n, j - g.degree, g.degree
+    if grade_size(n, a) * g.coeffs.size <= _GATHER_ENTRIES:
+        table = mul_table(n, a, b)
+        return lambda lo, hi: (table[lo:hi], g.coeffs)
+    return lambda lo, hi: (table_rows(n, a, b, lo, hi), g.coeffs)
 
 
 def _ideal_piece(generators: Sequence[HomogeneousForm], j: int, p: int,
@@ -177,17 +216,28 @@ def _ideal_piece(generators: Sequence[HomogeneousForm], j: int, p: int,
                  below: Optional[RankAccumulator] = None) -> Optional[RankAccumulator]:
     """The accumulator behind ideal_piece_rank, or None for a zero piece.
 
-    below, if given, holds the degree-(j-1) piece of the same ideal.  Its
-    basis rows times each variable lie in the degree-j piece, and their
-    pivots are known, so the accumulator starts from those shifts
-    (RankAccumulator.shadow) and only the pivots they miss are searched
-    for among the rows above.  The shadow keeps every shift by x* =
-    x_{n-1}, the variable of row 0 of mul_table(n, 1, j-1), so it spans
-    x* times the degree-(j-1) piece, and with it every row m * G with x*
-    dividing m and deg G < j.  Those rows are not fed: in colex order
-    they are the first grade_size(n, a) - grade_size(n-1, a) monomials
-    of degree a = j - deg G, so each generator's rows start after them.
-    The rank is the same either way.
+    The accumulator starts from rows whose pivots are known
+    (RankAccumulator.shadow), and only the pivots they miss are searched
+    for among the rows fed after them.
+
+    below, if given, holds the degree-(j-1) piece of the same ideal, and
+    the start is its basis times each variable.  The shadow keeps every
+    shift by x* = x_{n-1}, the variable of row 0 of mul_table(n, 1, j-1),
+    so it spans x* times the degree-(j-1) piece, and with it every row
+    m * G with x* dividing m and deg G < j.  Those rows are not fed: in
+    colex order they are the first grade_size(n, a) - grade_size(n-1, a)
+    monomials of degree a = j - deg G, so each generator's rows start
+    after them.
+
+    Otherwise, when some generator has degree e0 < j, the degree-e0
+    generators are echeloned first, and the start is that basis B times
+    every monomial of degree j - e0.  The products m * b (b in B) span the
+    rows m * G of those generators, and the shadow holds one per distinct
+    lead, so only the products it did not keep are fed, then the rows of
+    the generators of degree above e0.
+
+    Either way no row outside the span of what the accumulator holds is
+    dropped, so the rank is exact.
     """
     usable = [g for g in generators if g.degree <= j and not g.is_zero]
     if not usable:
@@ -198,35 +248,40 @@ def _ideal_piece(generators: Sequence[HomogeneousForm], j: int, p: int,
     ncols = grade_size(n, j)
     if max_columns is not None and ncols > max_columns:
         raise ResourceGuardExceeded(ncols, max_columns, f"degree-{j} piece")
-    counts = [grade_size(n, j - g.degree) for g in usable]
-    if below is None:
-        acc = RankAccumulator(ncols, p)
-        starts = [0] * len(usable)
+    e0 = min(g.degree for g in usable)
+    # (first row, end row, rows(lo, hi) -> their columns and values)
+    sources: list[tuple[int, int, Callable]] = []
+    if below is not None:
+        acc, _ = below.shadow(_shift_table(n, 1, j - 1), ncols)
+        for g in usable:
+            a = j - g.degree
+            sources.append((grade_size(n, a) - grade_size(n - 1, a),
+                            grade_size(n, a), _generator_rows(g, j)))
+    elif e0 < j:
+        seed = RankAccumulator(grade_size(n, e0), p)
+        seed.add_rows(np.array([g.coeffs for g in usable if g.degree == e0]))
+        table = _shift_table(n, j - e0, e0)
+        acc, kept = seed.shadow(table, ncols)
+        mult, row = np.nonzero(~kept)
+        basis = seed.basis
+        sources.append((0, mult.size,
+                        lambda lo, hi: (table[mult[lo:hi]], basis[row[lo:hi]])))
+        sources.extend((0, grade_size(n, j - g.degree), _generator_rows(g, j))
+                       for g in usable if g.degree > e0)
     else:
-        if n * below.ncols <= _GATHER_ENTRIES:
-            shifts = mul_table(n, 1, j - 1)
-        else:
-            shifts = table_rows(n, 1, j - 1, 0, n)
-        acc = below.shadow(shifts, ncols)
-        if acc.rank == ncols:
-            return acc
-        starts = [m - grade_size(n - 1, j - g.degree) for g, m in zip(usable, counts)]
+        acc = RankAccumulator(ncols, p)
+        sources.extend((0, 1, _generator_rows(g, j)) for g in usable)
+    if acc.rank == ncols:
+        return acc
     step = max(1, _BATCH_ENTRIES // ncols)
-    left = sum(counts) - sum(starts)
+    left = sum(hi - lo for lo, hi, _ in sources)
     batch = np.zeros((min(step, left), ncols), np.int64)
     filled = 0
-    for g, lo, nrows in zip(usable, starts, counts):
-        a, b = j - g.degree, g.degree
-        table = None
-        if nrows * g.coeffs.size <= _GATHER_ENTRIES:
-            table = mul_table(n, a, b)
+    for lo, nrows, rows in sources:
         while lo < nrows:
             hi = min(nrows, lo + batch.shape[0] - filled)
-            if table is not None:
-                cols = table[lo:hi]
-            else:
-                cols = table_rows(n, a, b, lo, hi)
-            batch[np.arange(filled, filled + hi - lo)[:, None], cols] = g.coeffs
+            cols, values = rows(lo, hi)
+            batch[np.arange(filled, filled + hi - lo)[:, None], cols] = values
             filled += hi - lo
             lo = hi
             if filled == batch.shape[0]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .combinatorics import PartitionLike, as_partition, binom
+from .combinatorics import PartitionLike, as_partition
 
 
 def _render_poly(pairs: Iterable[tuple[int, int]]) -> str:
@@ -169,7 +169,8 @@ def expand_rational(num: SeriesNumerator, n: int, bound: int) -> TruncatedSeries
     """Coefficients of num / (1-t)^n through the given degree bound.
 
     Convolves the sparse numerator with the expansion of 1/(1-t)^n, whose
-    j-th coefficient is C(j+n-1, n-1).  n = 0 means no denominator at all.
+    j-th coefficient is C(j+n-1, n-1); each of those is computed once, from
+    the one before.  n = 0 means no denominator at all.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
@@ -177,12 +178,14 @@ def expand_rational(num: SeriesNumerator, n: int, bound: int) -> TruncatedSeries
         raise ValueError(f"need bound >= 0, got {bound}")
     if n == 0:
         return num.as_series(bound)
+    binomials = [1] * (bound + 1)
+    for j in range(1, bound + 1):
+        binomials[j] = binomials[j - 1] * (j + n - 1) // j
     out = [0] * (bound + 1)
     for e, c in num.terms:
         if e > bound:
             continue
-        for j in range(bound + 1 - e):
-            out[e + j] += c * binom(j + n - 1, n - 1)
+        out[e:] = [o + c * b for o, b in zip(out[e:], binomials)]
     return TruncatedSeries(out)
 
 

@@ -240,37 +240,43 @@ class TestBlockedKernel:
 
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.sampled_from([7, 10007, P_MAX]))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_shadow_is_echeloned_shifts_of_the_basis(self, seed, p):
-        """The shadow of a basis under mul_table(n, 1, j) keeps, for each
-        distinct column x_v * pivot, the first shift in the order
-        (variable, basis row): every shift by x_{n-1} (row 0 of the table)
-        and the others whose leads are new.  Its basis is the reduced
-        echelon form of exactly those rows, with one pivot per lead."""
+        """The shadow of a degree-e basis under mul_table(n, a, e) keeps,
+        for each distinct column x^m * pivot, the first product in the
+        order (multiplier m, basis row): every product by x_{n-1}^a (row 0
+        of the table) and the others whose leads are new.  It reports
+        exactly those pairs, and its basis is the reduced echelon form of
+        exactly those rows, with one pivot per lead.  a = 1 is the shift
+        by one variable of the by-degree engine; a > 1 seeds a piece from
+        generators of lower degree."""
         rng = np.random.default_rng(seed)
-        n, j = int(rng.integers(1, 6)), int(rng.integers(0, 4))
-        below = grade_size(n, j)
+        n, e, a = int(rng.integers(1, 6)), int(rng.integers(0, 4)), int(rng.integers(1, 4))
+        below = grade_size(n, e)
         r = int(rng.integers(0, below + 1))
         u = rng.integers(0, p, size=(below + 3, r)).astype(object)
         v = rng.integers(0, p, size=(r, below)).astype(object)
         v[:, rng.random(below) < 0.3] = 0
         acc = RankAccumulator(below, p)
         acc.add_rows(((u @ v) % p).astype(np.int64) if r else np.zeros((1, below), np.int64))
-        table = mul_table(n, 1, j)
-        ncols = grade_size(n, j + 1)
-        assert np.array_equal(exponents(n, 1)[0], np.eye(n, dtype=np.int32)[n - 1])
+        table = mul_table(n, a, e)
+        ncols = grade_size(n, e + a)
+        assert np.array_equal(exponents(n, a)[0], a * np.eye(n, dtype=np.int32)[n - 1])
+        want_kept = np.zeros((table.shape[0], acc.rank), bool)
         kept, leads = [], set()
-        for var in range(n):
-            for row, piv in zip(acc.basis, acc.pivots):
-                lead = int(table[var, piv])
+        for m in range(table.shape[0]):
+            for i, (row, piv) in enumerate(zip(acc.basis, acc.pivots)):
+                lead = int(table[m, piv])
                 if lead in leads:
-                    assert var > 0
+                    assert m > 0
                     continue
                 leads.add(lead)
-                shift = np.zeros(ncols, np.int64)
-                shift[table[var]] = row
-                kept.append(shift)
-        shadow = acc.shadow(table, ncols)
+                want_kept[m, i] = True
+                product = np.zeros(ncols, np.int64)
+                product[table[m]] = row
+                kept.append(product)
+        shadow, got_kept = acc.shadow(table, ncols)
+        assert np.array_equal(got_kept, want_kept)
         assert np.array_equal(np.sort(shadow.pivots), sorted(leads))
         order = np.argsort(shadow.pivots)
         want = _reference_rref(kept, p) if kept else np.zeros((0, ncols), np.int64)
@@ -310,6 +316,33 @@ def _evaluate(form, point, p):
             term = term * pow(int(x), e, p) % p
         total += term
     return total % p
+
+
+def _seeded_feed(gens, j, p):
+    """The rows _ideal_piece feeds at degree j alone, by one product per
+    row: those of the seed (the coefficients of the nonzero generators of
+    the lowest degree e0, when e0 < j) and those of the degree-j piece.
+    The latter are the products m * b of the seed's reduced echelon basis
+    rows b by the monomials m of degree j - e0 that the shadow does not
+    keep (it keeps the first per lead x^m * x^pivot(b), in the order
+    (m, b)), then the brute-force rows of the generators above e0."""
+    usable = [g for g in gens if g.degree <= j and not g.is_zero]
+    e0 = min(g.degree for g in usable)
+    if e0 == j:
+        return [], _brute_rows(usable, j, p)
+    n = usable[0].n
+    seed = [g.coeffs for g in usable if g.degree == e0]
+    basis = _reference_rref(seed, p)
+    pivots = (basis != 0).argmax(axis=1)
+    leads, unkept = set(), []
+    for m in exponents(n, j - e0).tolist():
+        for b, c in zip(basis, pivots):
+            lead = rank_exponent(np.add(m, exponents(n, e0)[c]))
+            if lead in leads:
+                unkept.append(multiply(HomogeneousForm(n, e0, b),
+                                       monomial_form(n, m, p), p).coeffs)
+            leads.add(lead)
+    return seed, unkept + _brute_rows([g for g in usable if g.degree > e0], j, p)
 
 
 def _brute_rows(gens, j, p):
@@ -448,19 +481,26 @@ class TestIdealPieceRank:
         f = random_form(3, 4, P_TEST, rng)
         assert ideal_piece_rank([f], 3, P_TEST) == 0
 
-    @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=6),
-           st.sampled_from([10007, P_MAX]), st.data())
-    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=6),
+           st.sampled_from([7, 10007, P_MAX]), st.data())
+    @settings(max_examples=60, deadline=None)
     def test_matches_brute_force_rows(self, n, j, p, data):
-        """Gathered rows, with a zero form and a generator above degree j
-        among the generators, against one product per row: the rows fed to
-        the kernel are those rows in order, and the rank is theirs.  The
-        gather limit and the block size are drawn small as well, so rows
-        whose table is not built and blocks that split a generator are
-        covered; with the limit at 0 every table is refused."""
+        """Gathered rows against one product per row, at degree j alone:
+        the seed is fed the nonzero generators of the lowest degree, the
+        degree-j piece is fed exactly the rows of _seeded_feed in order,
+        and the rank is that of all the brute-force rows.  Mixed degrees
+        with constants, zero forms (one of the lowest degree), a generator
+        above degree j and p = 7, where random forms often degenerate, are
+        drawn.  The gather limit and the block size are drawn small as
+        well, so rows whose table is not built and blocks that split a
+        generator are covered; with the limit at 0 every table is
+        refused."""
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        degrees = data.draw(st.lists(st.integers(0, j), min_size=1, max_size=4))
+        degrees = data.draw(st.lists(st.integers(0, j), min_size=1, max_size=5))
         gens = [random_form(n, e, p, rng) for e in degrees]
+        low = min(degrees)
+        gens.insert(data.draw(st.integers(0, len(gens))),
+                    HomogeneousForm(n, low, np.zeros(grade_size(n, low))))
         gens.append(HomogeneousForm(n, max(0, j - 1), np.zeros(grade_size(n, max(0, j - 1)))))
         gens.append(random_form(n, j + 1, p, rng))
         gather = data.draw(st.sampled_from([runs._GATHER_ENTRIES, 0, grade_size(n, j)]))
@@ -469,7 +509,7 @@ class TestIdealPieceRank:
         add_rows = RankAccumulator.add_rows
 
         def record(acc, rows):
-            fed.extend(np.array(rows))
+            fed.append((acc, np.array(rows)))
             return add_rows(acc, rows)
 
         def refuse(*args):
@@ -480,38 +520,51 @@ class TestIdealPieceRank:
                 mock.patch.object(runs, "mul_table", table), \
                 mock.patch.object(runs, "_BATCH_ENTRIES", batch), \
                 mock.patch.object(RankAccumulator, "add_rows", record):
-            got = ideal_piece_rank(gens, j, p)
+            acc = runs._ideal_piece(gens, j, p)
         rows = _brute_rows(gens, j, p)
-        assert len(fed) <= len(rows)
-        assert all(np.array_equal(a, b) for a, b in zip(fed, rows))
-        assert got == (rank_of(np.array(rows), p) if rows else 0)
+        if acc is None:
+            assert not rows and not fed
+            return
+        seed_rows, want = _seeded_feed(gens, j, p)
+        seeded = [row for a, block in fed if a is not acc for row in block]
+        main = [row for a, block in fed if a is acc for row in block]
+        assert len(seeded) == len(seed_rows)
+        assert all(np.array_equal(a, b) for a, b in zip(seeded, seed_rows))
+        if acc.rank < grade_size(n, j):
+            assert len(main) == len(want)
+        assert len(main) <= len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(main, want))
+        assert acc.rank == rank_of(np.array(rows), p)
 
     def test_blocks_are_right_sized_and_keep_their_boundaries(self, monkeypatch):
-        """Every block holds `step` rows but the last, and each is a whole
-        array of its own, not a slice of a larger one."""
+        """Every block fed to the degree-j piece holds `step` rows but the
+        last, across the seed's unkept products and the generators above
+        the lowest degree, and each is a whole array of its own, not a
+        slice of a larger one."""
         blocks = []
         add_rows = RankAccumulator.add_rows
 
         def record(acc, rows):
-            blocks.append((rows.shape[0], rows.base is None))
+            blocks.append((acc.ncols, rows.shape[0], rows.base is None))
             return add_rows(acc, rows)
 
         monkeypatch.setattr(RankAccumulator, "add_rows", record)
         rng = np.random.default_rng(8)
         n, j = 4, 5
-        gens = [random_form(n, e, P_TEST, rng) for e in (3, 3, 4, 2)]
-        total = sum(grade_size(n, j - g.degree) for g in gens)
         ncols = grade_size(n, j)
-        assert total < ncols  # no early exit at full rank
-        want_rank = rank_of(np.array(_brute_rows(gens, j, P_TEST)), P_TEST)
-        for step in (1, 7, 10, total - 1, total, total + 5, 10 * total):
-            blocks.clear()
-            monkeypatch.setattr(runs, "_BATCH_ENTRIES", step * ncols)
-            got = ideal_piece_rank(gens, j, P_TEST)
-            want = [step] * (total // step) + ([total % step] if total % step else [])
-            assert [rows for rows, _ in blocks] == want, step
-            assert all(whole for _, whole in blocks), step
-            assert got == want_rank
+        for degrees in ((3, 3, 4, 2), (2, 3, 2, 4)):
+            gens = [random_form(n, e, P_TEST, rng) for e in degrees]
+            total = len(_seeded_feed(gens, j, P_TEST)[1])
+            want_rank = rank_of(np.array(_brute_rows(gens, j, P_TEST)), P_TEST)
+            assert want_rank < ncols  # no early exit at full rank
+            for step in (1, 7, 10, total - 1, total, total + 5, 10 * total):
+                blocks.clear()
+                monkeypatch.setattr(runs, "_BATCH_ENTRIES", step * ncols)
+                got = ideal_piece_rank(gens, j, P_TEST)
+                want = [step] * (total // step) + ([total % step] if total % step else [])
+                assert [rows for width, rows, _ in blocks if width == ncols] == want, step
+                assert all(whole for _, _, whole in blocks), step
+                assert got == want_rank
 
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=6),
            st.sampled_from([7, 10007, P_MAX]), st.data())
@@ -676,6 +729,24 @@ class TestOracleRuns:
         seen.clear()
         best, per_trial = runs._hilbert_over_trials(sample, [1], cfg, target=(5,))
         assert seen == [0, 1, 2, 3, 4] and best == (0,)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63 + 5, 2**64 + 7])
+    def test_rng_streams_equal_the_tuple_entropy(self, seed):
+        """_rng hands SeedSequence uint32 words; its pool, its state and its
+        first draws equal those of the tuple form, for seeds and paths of
+        one, two and three 32-bit words."""
+        for path in ((), (0, 3, 1, 2, 0), (runs._TAG_FROEBERG, 2**40 + 1, 7)):
+            want = np.random.SeedSequence(entropy=(seed, *path))
+            got = runs._rng(seed, *path)
+            assert np.array_equal(got.bit_generator.seed_seq.pool, want.pool)
+            assert np.array_equal(got.bit_generator.seed_seq.generate_state(8),
+                                  want.generate_state(8))
+            ref = np.random.default_rng(want)
+            assert np.array_equal(got.integers(0, P_MAX, size=20),
+                                  ref.integers(0, P_MAX, size=20))
+            assert got.random() == ref.random()
+        with pytest.raises(ValueError):
+            runs._rng(seed, -1)
 
     def test_report_shape(self):
         cfg = PrimeFieldConfig(trials=2, seed=4)

@@ -6,8 +6,10 @@ generators G_k = prod_{i != k} F_i come from prefix and suffix partial
 products (3r - 6 products for r >= 3 factors, none for two), so neither
 polynomial division nor a product by the unit form is ever needed.  The
 linear-elimination helpers substitute pivot variables of linear generators
-away exactly, shrinking the ring before any rank computation; where each
-coefficient moves depends only on (n, d, v) and is cached.
+away exactly, shrinking the ring before any rank computation.  The pivots
+and their expressions are the reduced echelon form of the linear forms,
+read from the rank kernel's RankAccumulator; where each coefficient moves
+depends only on (n, d, v) and is cached.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .modmat import RankAccumulator
 from .monomials import exponents, grade_size, mul_table, rank_rows
 
 
@@ -104,36 +107,6 @@ def _variable_order(n: int) -> np.ndarray:
     return np.argsort(exponents(n, 1).argmax(axis=1))
 
 
-def _linear_rref(var_rows: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
-    """RREF of linear forms written in variable coordinates.
-
-    Returns (pivot variable indices, reduced rows); each reduced row has a
-    unit entry at its pivot variable and zeros at every other pivot.
-    """
-    rows = np.array(var_rows, np.int64) % p
-    pivots: list[int] = []
-    kept: list[np.ndarray] = []
-    for row in rows:
-        for w, c in zip(kept, pivots):
-            f = int(row[c])
-            if f:
-                row = (row - f * w) % p
-        nz = row.nonzero()[0]
-        if nz.size == 0:
-            continue
-        c = int(nz[0])
-        row = (row * pow(int(row[c]), -1, p)) % p
-        for i, w in enumerate(kept):
-            f = int(w[c])
-            if f:
-                kept[i] = (w - f * row) % p
-        kept.append(row)
-        pivots.append(c)
-    if kept:
-        return pivots, np.vstack(kept)
-    return pivots, np.zeros((0, rows.shape[1]), np.int64)
-
-
 @lru_cache(maxsize=256)
 def _substitution_plan(n: int, d: int, v: int) -> tuple:
     """Entry k: the positions of the degree-d monomials with x_v^k exactly,
@@ -191,15 +164,13 @@ def eliminate_linear(linear_forms, other_forms, p: int):
         return (other_forms[0].n if other_forms else 0), other_forms
     n = linear_forms[0].n
     order = _variable_order(n)
-    var_rows = np.stack([f.coeffs[order] for f in linear_forms])
-    pivots, rref = _linear_rref(var_rows, p)
-    q = len(pivots)
+    acc = RankAccumulator(n, p)
+    acc.add_rows(np.stack([f.coeffs[order] for f in linear_forms]))
+    q = acc.rank
     if q >= n:
         return 0, []
     # x_pivot = -(rest of its row); expressions involve free variables only.
-    substitutions = sorted(
-        zip(pivots, [(-rref[i]) % p for i in range(q)]), reverse=True
-    )
+    substitutions = sorted(zip(acc.pivots.tolist(), (-acc.basis) % p), reverse=True)
     forms = other_forms
     pending = [expr.copy() for _, expr in substitutions]
     for step, (v, _) in enumerate(substitutions):

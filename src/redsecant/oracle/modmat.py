@@ -5,12 +5,14 @@ row echelon form (a unit at each row's pivot column, zeros at every other
 pivot column) and stores only its free columns, since the pivot columns
 hold the identity.  Joining a block to an echelon basis takes two products:
 reduce the block against the basis, echelon what is left, then clear the
-new pivot columns out of the basis.  A block is echeloned the same way,
-recursively: echelon its top half, join its bottom half to that.  Below
-_LEAF rows a vectorised Gauss-Jordan step runs once per pivot over the
-whole leaf, so the Python loop runs once per pivot and everything else is
-a float64 BLAS product (in the style of FFLAS/FFPACK, Dumas, Giorgi and
-Pernet, ACM TOMS 2008).
+new pivot columns out of the basis.  A block is echeloned the same way, by
+one recursion (_echelon): echelon its top half, join its bottom half to
+that.  The default leaf, at most _LEAF rows, takes one vectorised
+Gauss-Jordan step per pivot, so the Python loop runs once per pivot and
+everything else is a float64 BLAS product (FFLAS/FFPACK, Dumas, Giorgi and
+Pernet, ACM TOMS 2008: one recursion, different leaves).  Every reduced
+echelon form in the oracle, the linear elimination's included, comes from
+here.
 
 A basis can also start from rows whose pivots are known in advance: the
 products of a basis in a lower degree by monomials
@@ -18,11 +20,11 @@ products of a basis in a lower degree by monomials
 JPAA 1999).  The products by x_{n-1}^a, row 0 of the multiplication
 table, are already in reduced echelon form, so that block is built
 directly.  The other kept products are unit upper triangular on their
-leading columns, and stay so after reduction by that block.
-They are echeloned by the same row halving, and each leaf is multiplied
-by the inverse of its unit triangle, so no pivot is searched for.  The
-inverses of all leaves are computed together, as a few products of
-stacked small matrices.
+leading columns, and stay so after reduction by that block.  They go
+through the same recursion with a leaf that multiplies by the inverse of
+its unit triangle, so no pivot is searched for.  The inverses of all
+leaves are computed together, as a few products of stacked small
+matrices.
 
 Products are exact: a float64 sum of integers stays exact while it is
 below 2^53, so a product is cut into k-chunks of _CHUNK and reduced mod p
@@ -180,12 +182,32 @@ def _join(ech: _Echelon, bot: np.ndarray, p: int, echelon) -> _Echelon:
     return out, np.concatenate([piv, free[bp]]), free[bf]
 
 
-def _echelon(a: np.ndarray, p: int) -> _Echelon:
-    """Echelon form of the rows of a, by row halving."""
+def _split(rows: int) -> int:
+    """Rows above the cut when _echelon splits a block of more than _LEAF
+    rows.  Halves keep the leaves balanced; cutting at a multiple of _LEAF
+    instead left a short last leaf and measured slower."""
+    return rows // 2
+
+
+def _leaf_blocks(lo: int, hi: int):
+    """Row ranges of the leaves _echelon reaches on rows lo..hi, top to
+    bottom, when no row drops out between them."""
+    if hi - lo <= _LEAF:
+        yield lo, hi
+    else:
+        cut = lo + _split(hi - lo)
+        yield from _leaf_blocks(lo, cut)
+        yield from _leaf_blocks(cut, hi)
+
+
+def _echelon(a: np.ndarray, p: int, leaf=_leaf) -> _Echelon:
+    """Echelon form of the rows of a, with leaf on blocks of at most _LEAF
+    rows: echelon the rows above _split, join the rest to that."""
     if a.shape[0] <= _LEAF:
-        return _leaf(a, p)
-    half = a.shape[0] // 2
-    return _join(_echelon(a[:half], p), a[half:], p, _echelon)
+        return leaf(a, p)
+    top = _split(a.shape[0])
+    return _join(_echelon(a[:top], p, leaf), a[top:], p,
+                 lambda rest, p: _echelon(rest, p, leaf))
 
 
 def _unit_inverses(u: np.ndarray, p: int) -> np.ndarray:
@@ -214,12 +236,13 @@ def _unit_triangular(a: np.ndarray, p: int) -> _Echelon:
     """Echelon form of unit upper triangular rows, without a pivot search.
 
     Row i has a unit at its first nonzero column lead[i] and the leads
-    increase, so U = a[:, lead] is unit upper triangular.  The rows are
-    echeloned by the same row halving as _echelon; each half below is zero
-    at the leads above it, so _join only clears the lower leads out of the
-    upper rows, and each leaf arrives with its diagonal block of U as it
-    was.  The leaf is then U_leaf^-1 times its free columns, and the
-    inverses of all diagonal blocks are computed together beforehand.
+    increase, so U = a[:, lead] is unit upper triangular.  _echelon runs
+    on the rows with a leaf of its own: each block below a split is zero
+    at the leads above it, so _join drops no row and only clears the lower
+    leads out of the upper rows, and each leaf, one of _leaf_blocks,
+    arrives with its diagonal block of U as it was.  The leaf is then
+    U_leaf^-1 times its free columns, and the inverses of all diagonal
+    blocks are computed together beforehand.
     """
     lead = (a != 0).argmax(axis=1)
     # The solve relies on this shape; check it rather than assume it.
@@ -233,31 +256,17 @@ def _unit_triangular(a: np.ndarray, p: int) -> _Echelon:
         u[b, : hi - lo, : hi - lo] = a[lo:hi, lead[lo:hi]]
     inverses = iter(_unit_inverses(u, p))
 
-    def halve(rows: np.ndarray, p: int) -> _Echelon:
-        if rows.shape[0] <= _LEAF:
-            k = rows.shape[0]
-            inv = next(inverses)[:k, :k]
-            leaf_lead = (rows != 0).argmax(axis=1)
-            free = np.ones(rows.shape[1], bool)
-            free[leaf_lead] = False
-            free = np.flatnonzero(free)
-            return matmul_mod(inv, rows[:, free], p), leaf_lead, free
-        half = rows.shape[0] // 2
-        return _join(halve(rows[:half], p), rows[half:], p, halve)
+    def leaf(rows: np.ndarray, p: int) -> _Echelon:
+        inv = next(inverses)[: rows.shape[0], : rows.shape[0]]
+        leaf_lead = (rows != 0).argmax(axis=1)
+        free = np.ones(rows.shape[1], bool)
+        free[leaf_lead] = False
+        free = np.flatnonzero(free)
+        return matmul_mod(inv, rows[:, free], p), leaf_lead, free
 
-    ech = halve(a, p)
+    ech = _echelon(a, p, leaf)
     assert next(inverses, None) is None
     return ech
-
-
-def _leaf_blocks(lo: int, hi: int):
-    """Row ranges of the leaves that row halving reaches, top to bottom."""
-    if hi - lo <= _LEAF:
-        yield lo, hi
-    else:
-        half = (hi - lo) // 2
-        yield from _leaf_blocks(lo, lo + half)
-        yield from _leaf_blocks(lo + half, hi)
 
 
 class RankAccumulator:

@@ -25,12 +25,13 @@ each variable lies in the degree-j piece with known pivots, so only the
 pivots it misses are searched for.  Those shifts include x_{n-1} times
 the whole degree-(j-1) piece, so the rows m * G of a lower-degree
 generator G with x_{n-1} dividing m already lie in their span and are
-skipped.  Runs at degree d alone (oracle_run, sweeps) start the piece
-from the generators of the lowest degree e0 < d instead: their echelon
-basis times every monomial of degree d - e0, of which one product per
-distinct lead has a known pivot.  Only the products left out of that
-start are fed, then the rows of the higher-degree generators.  Either way
-no row outside the span already held is dropped, so the ranks are exact.
+skipped.  Every other piece starts from the echelon basis of the
+generators of the lowest degree e0, which at degree e0 is the piece.
+Above e0, as in runs at degree d alone (oracle_run, sweeps), the start is
+that basis times every monomial of degree j - e0, one product per
+distinct lead having a known pivot; only the products left out of it are
+fed, then the rows of the higher-degree generators.  Either way no row
+outside the span already held is dropped, so the ranks are exact.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..combinatorics import ProblemInstance, expected_dim
-from ..series import expand_rational, plus_truncate, predicted_hilbert, series_pow
-from ..series import SeriesNumerator
+from ..series import expand_rational, plus_truncate, predicted_hilbert
+from ..series import reducible_numerator, series_pow
 from .forms import HomogeneousForm, eliminate_linear, random_form, tangent_generators
 from .modmat import P_LIMIT, RankAccumulator
 from .monomials import grade_size, mul_table, table_rows
@@ -216,9 +217,8 @@ def _ideal_piece(generators: Sequence[HomogeneousForm], j: int, p: int,
                  below: Optional[RankAccumulator] = None) -> Optional[RankAccumulator]:
     """The accumulator behind ideal_piece_rank, or None for a zero piece.
 
-    The accumulator starts from rows whose pivots are known
-    (RankAccumulator.shadow), and only the pivots they miss are searched
-    for among the rows fed after them.
+    The piece has one of the two starts below, and only the pivots its
+    start misses are searched for among the rows fed after it.
 
     below, if given, holds the degree-(j-1) piece of the same ideal, and
     the start is its basis times each variable.  The shadow keeps every
@@ -229,12 +229,12 @@ def _ideal_piece(generators: Sequence[HomogeneousForm], j: int, p: int,
     monomials of degree a = j - deg G, so each generator's rows start
     after them.
 
-    Otherwise, when some generator has degree e0 < j, the degree-e0
-    generators are echeloned first, and the start is that basis B times
-    every monomial of degree j - e0.  The products m * b (b in B) span the
-    rows m * G of those generators, and the shadow holds one per distinct
-    lead, so only the products it did not keep are fed, then the rows of
-    the generators of degree above e0.
+    Otherwise the generators of the lowest degree e0 are echeloned first.
+    When e0 == j that echelon is the piece.  When e0 < j the start is its
+    basis B times every monomial of degree j - e0.  The products m * b
+    (b in B) span the rows m * G of those generators, and the shadow holds
+    one per distinct lead, so only the products it did not keep are fed,
+    then the rows of the generators of degree above e0.
 
     Either way no row outside the span of what the accumulator holds is
     dropped, so the rank is exact.
@@ -257,9 +257,11 @@ def _ideal_piece(generators: Sequence[HomogeneousForm], j: int, p: int,
             a = j - g.degree
             sources.append((grade_size(n, a) - grade_size(n - 1, a),
                             grade_size(n, a), _generator_rows(g, j)))
-    elif e0 < j:
+    else:
         seed = RankAccumulator(grade_size(n, e0), p)
         seed.add_rows(np.array([g.coeffs for g in usable if g.degree == e0]))
+        if e0 == j:
+            return seed
         table = _shift_table(n, j - e0, e0)
         acc, kept = seed.shadow(table, ncols)
         mult, row = np.nonzero(~kept)
@@ -268,9 +270,6 @@ def _ideal_piece(generators: Sequence[HomogeneousForm], j: int, p: int,
                         lambda lo, hi: (table[mult[lo:hi]], basis[row[lo:hi]])))
         sources.extend((0, grade_size(n, j - g.degree), _generator_rows(g, j))
                        for g in usable if g.degree > e0)
-    else:
-        acc = RankAccumulator(ncols, p)
-        sources.extend((0, 1, _generator_rows(g, j)) for g in usable)
     if acc.rank == ncols:
         return acc
     step = max(1, _BATCH_ENTRIES // ncols)
@@ -403,8 +402,11 @@ def oracle_run(inst: ProblemInstance, cfg: PrimeFieldConfig,
         effective = grade_size(max(0, n - min(n, n_linear)), d)
     else:
         effective = big_n
-    if effective > cfg.max_columns:
-        raise ResourceGuardExceeded(effective, cfg.max_columns,
+    # The factors are sampled in all n variables before any elimination,
+    # so the widest of them counts against the guard too.
+    widest = max(effective, grade_size(n, part.parts[0]))
+    if widest > cfg.max_columns:
+        raise ResourceGuardExceeded(widest, cfg.max_columns,
                                     f"oracle run for {inst}")
 
     def sample(trial: int):
@@ -585,9 +587,8 @@ def froeberg_oracle_r2(n: int, l: int, k: int, d: int,
     if n < 2 or l < 1:
         raise ValueError(f"need n >= 2 and l >= 1, got n={n}, l={l}")
     degs = sorted([k] * l + [d - k] * l)
-    num = series_pow(SeriesNumerator([(0, 1), (k, -1)]), l, d).mul(
-        series_pow(SeriesNumerator([(0, 1), (d - k, -1)]), l, d)
-    )
+    # for two parts the numerator is (1 - t^k)(1 - t^(d-k))
+    num = series_pow(reducible_numerator([d - k, k]), l, d)
     series = plus_truncate(expand_rational(num, n, d)).coeffs
 
     h = [grade_size(n, j) for j in range(d + 1)]

@@ -84,10 +84,6 @@ class TruncatedSeries:
     def __iter__(self):
         return iter(self.coeffs)
 
-    def to_json(self) -> list[str]:
-        """Decimal strings, exact beyond 2^64."""
-        return [str(c) for c in self.coeffs]
-
     def __str__(self) -> str:
         return _render_poly(enumerate(self.coeffs))
 
@@ -154,9 +150,6 @@ class SeriesNumerator:
 
     def __hash__(self) -> int:
         return hash(self.terms)
-
-    def to_json(self) -> list[list[str]]:
-        return [[str(e), str(c)] for e, c in self.terms]
 
     def __str__(self) -> str:
         return _render_poly(self.terms)

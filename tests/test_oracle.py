@@ -40,7 +40,7 @@ from redsecant.oracle import (
     unrank_exponent,
     wlp_consequence_check,
 )
-from redsecant.oracle import modmat, runs
+from redsecant.oracle import forms, modmat, runs
 from redsecant.oracle.modmat import _CHUNK, _LEAF, P_LIMIT
 from redsecant.predictor import predict
 from redsecant.series import expand_rational, reducible_numerator, series_pow
@@ -465,6 +465,53 @@ class TestForms:
         small = piece_rank(new_n, reduced)
         assert naive == grade_size(n, j) - grade_size(new_n, j) + small
 
+    def test_eliminate_linear_across_leaves_with_dependent_forms(self):
+        """More linear forms than one Gauss-Jordan leaf holds, a quarter of
+        them combinations of the others, and two variables in none of
+        them.  The variables substituted away, highest first, are the
+        pivots of the reduced echelon form; each reduced form takes its
+        original's value where the linear forms vanish; and the Hilbert
+        value at degree 2 is that of the naive rows."""
+        p, n, q, extra = 10007, 40, 36, 12
+        assert q + extra > _LEAF
+        rng = np.random.default_rng(23)
+        base = rng.integers(0, p, size=(q, n))
+        base[:, [3, 11]] = 0
+        var_rows = np.vstack([base, rng.integers(0, p, size=(extra, q)) @ base % p])
+        var_rows = var_rows[rng.permutation(q + extra)]
+        order = forms._variable_order(n)
+        lin = []
+        for row in var_rows:
+            coeffs = np.zeros(n, np.int64)
+            coeffs[order] = row
+            lin.append(HomogeneousForm(n, 1, coeffs))
+        others = [random_form(n, 2, p, rng) for _ in range(3)]
+        rref = _reference_rref(var_rows, p)
+        pivots = (rref != 0).argmax(axis=1)
+        assert len(rref) == q and 3 not in pivots and 11 not in pivots
+        substituted = []
+        real = forms.substitute_out
+
+        def record(form, v, replacement, p):
+            substituted.append(v)
+            return real(form, v, replacement, p)
+
+        with mock.patch.object(forms, "substitute_out", record):
+            new_n, reduced = eliminate_linear(lin, others, p)
+        assert new_n == n - q
+        assert substituted == [v for v in sorted(pivots.tolist(), reverse=True)
+                               for _ in others]
+        free = np.setdiff1d(np.arange(n), pivots)
+        for _ in range(2):
+            y = rng.integers(0, p, size=new_n)
+            x = np.zeros(n, np.int64)
+            x[free] = y
+            x[pivots] = -(rref[:, free] @ y) % p
+            for image, form in zip(reduced, others):
+                assert _evaluate(image, y, p) == _evaluate(form, x, p)
+        naive = rank_of(np.array(_brute_rows(lin + others, 2, p)), p)
+        assert grade_size(n, 2) - naive == grade_size(new_n, 2) - ideal_piece_rank(reduced, 2, p)
+
 
 class TestIdealPieceRank:
     def test_koszul_pair(self):
@@ -826,10 +873,28 @@ class TestOracleRuns:
             oracle_run(inst(4, 2, [1, 1, 1, 1]), PrimeFieldConfig(trials=1),
                        want_hilbert=True)
 
-    def test_guard_names_the_context(self):
+    def test_guard_names_the_context(self, monkeypatch):
         with pytest.raises(ResourceGuardExceeded) as err:
             oracle_run(inst(5, 4, [4, 3]), PrimeFieldConfig(max_columns=10))
         assert "330" in str(err.value)
+        # [4, 1] at n = 20, l = 19 has one column after elimination, but its
+        # quartics have grade_size(20, 4) = 8855 coefficients each, so the
+        # run is refused before any form is sampled.  At n = 6, l = 5 the
+        # cubics have 56 coefficients: a guard of 56 admits the run.
+        def refuse(*args):
+            raise AssertionError("a form was sampled")
+
+        with monkeypatch.context() as m:
+            m.setattr(runs, "random_form", refuse)
+            with pytest.raises(ResourceGuardExceeded) as err:
+                oracle_run(inst(20, 19, [4, 1]),
+                           PrimeFieldConfig(trials=1, max_columns=1000))
+            assert "8855" in str(err.value)
+            with pytest.raises(ResourceGuardExceeded):
+                oracle_run(inst(6, 5, [3, 1]),
+                           PrimeFieldConfig(trials=1, max_columns=55))
+        run = oracle_run(inst(6, 5, [3, 1]), PrimeFieldConfig(trials=1, max_columns=56))
+        assert run.eliminated and run.columns == 1
 
 
 class TestWlpConsequence:

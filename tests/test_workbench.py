@@ -358,6 +358,10 @@ class TestCli:
         assert cli.main(["oracle", "--n", "5", "--l", "4", "--partition",
                          "4,3", "--max-columns", "10"]) == 4
         assert "resource guard" in capsys.readouterr().err
+        # one column after elimination, but quartics in 20 variables
+        assert cli.main(["oracle", "--n", "20", "--l", "19", "--partition",
+                         "4,1", "--max-columns", "1000"]) == 4
+        assert "8855" in capsys.readouterr().err
 
     def test_verify_guard_exits_4(self, capsys):
         assert cli.main(["verify", "--n", "5", "--l", "4", "--partition",

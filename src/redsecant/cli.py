@@ -46,19 +46,23 @@ MAX_TRUNCATE = 10_000
 # hundred digits each (n = 100) take about a second.
 MAX_SERIES_DIGITS = 5_000_000
 
-# Largest number of coefficient products a series expansion may make,
-# judged before it starts: each term of the numerator's power meets up to
-# truncate + 1 coefficients of 1/(1-t)^m, and the power's own products are
-# no more.  The 1.5 * 10^7 of --n 4 --l 300 --partition 3,2 through degree
-# 10^4 take about 4 s.
+# Largest work a series expansion may take, judged before it starts, in
+# products of small integers: each term of the numerator's power meets up
+# to truncate + 1 coefficients of 1/(1-t)^m, and the power's own products
+# are no more.  A product of a c-digit coefficient by a b-digit binomial
+# counts as 1 + c * b / _DIGIT_PAIRS of them: through degree 10^4,
+# --partition 3,2 --l 300 makes 1.4 * 10^7 products of coefficients of up
+# to 167 digits, which took 2.6 s against binomials of up to 12 digits
+# (--n 4) and 10.9 s against binomials of up to 241 (--n 100).
 MAX_SERIES_WORK = 20_000_000
+_DIGIT_PAIRS = 10_000
 
 
-def _series_digits(bound: int, m: int) -> float:
-    """Upper bound on the digits of the first bound + 1 coefficients of
-    1/(1-t)^m, m >= 1: each C(j + m - 1, m - 1) with j <= bound is below
-    (bound + m)^min(bound, m - 1)."""
-    return (bound + 1) * (min(bound, m - 1) * math.log10(bound + m) + 1)
+def _binomial_digits(bound: int, m: int) -> float:
+    """Upper bound on the digits of each of the first bound + 1
+    coefficients of 1/(1-t)^m: C(j + m - 1, m - 1) with j <= bound is below
+    (bound + m)^min(bound, m - 1), and for m < 2 each is 0 or 1."""
+    return min(bound, m - 1) * math.log10(bound + m) + 1 if m > 1 else 1
 
 
 def _power_terms(num: SeriesNumerator, l: int, bound: int) -> int:
@@ -66,12 +70,18 @@ def _power_terms(num: SeriesNumerator, l: int, bound: int) -> int:
     return min(bound, l * num.degree) + 1
 
 
-def _power_digits(num: SeriesNumerator, l: int, bound: int) -> float:
-    """Upper bound on the digits of num^l cut after degree bound: each of
-    its terms has a coefficient at most the l-th power of the sum of num's
-    absolute coefficients."""
+def _coefficient_digits(num: SeriesNumerator, l: int) -> float:
+    """Upper bound on the digits of each coefficient of num^l: it is at
+    most the l-th power of the sum of num's absolute coefficients."""
     norm = sum(abs(c) for _, c in num.terms)
-    return _power_terms(num, l, bound) * (l * math.log10(norm) + 1)
+    return l * math.log10(norm) + 1
+
+
+def _series_work(num: SeriesNumerator, l: int, bound: int, m: int) -> float:
+    """Upper bound on the work of expanding num^l / (1-t)^m through degree
+    bound, in the units of MAX_SERIES_WORK."""
+    pairs = _coefficient_digits(num, l) * _binomial_digits(bound, m)
+    return _power_terms(num, l, bound) * (bound + 1) * (1 + pairs / _DIGIT_PAIRS)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -145,20 +155,21 @@ def cmd_series(args) -> int:
     if not 0 <= bound <= MAX_TRUNCATE:
         raise ValueError(f"need 0 <= --truncate <= {MAX_TRUNCATE}, got {bound}")
     m = {"numerator": 0, "artinian": 2 * inst.l}.get(args.which, inst.n)
-    if m and _series_digits(bound, m) > MAX_SERIES_DIGITS:
+    if (bound + 1) * _binomial_digits(bound, m) > MAX_SERIES_DIGITS:
         raise ValueError(
             f"a series in {m} variables through degree {bound} would take "
             f"more than {MAX_SERIES_DIGITS} digits; lower --n or --truncate")
     base = reducible_numerator(part)
-    if _power_digits(base, inst.l, bound) > MAX_SERIES_DIGITS:
+    if (_power_terms(base, inst.l, bound) * _coefficient_digits(base, inst.l)
+            > MAX_SERIES_DIGITS):
         raise ValueError(
             f"the numerator's {inst.l}-th power through degree {bound} would "
             f"take more than {MAX_SERIES_DIGITS} digits; lower --l or --truncate")
-    if _power_terms(base, inst.l, bound) * (bound + 1) > MAX_SERIES_WORK:
+    if _series_work(base, inst.l, bound, m) > MAX_SERIES_WORK:
         raise ValueError(
             f"expanding the numerator's {inst.l}-th power through degree "
-            f"{bound} would take more than {MAX_SERIES_WORK} coefficient "
-            f"products; lower --l or --truncate")
+            f"{bound} would take more than {MAX_SERIES_WORK} small coefficient "
+            f"products; lower --n, --l or --truncate")
     num = series_pow(base, inst.l, bound)
     if args.which == "numerator":
         series = num.as_series(bound)

@@ -1,9 +1,11 @@
 """Homogeneous forms over Z/p on the dense graded monomial basis.
 
 A form is its coefficient vector, indexed by the colex rank of the exponent
-vector.  Products go through the cached multiplication tables; tangent-cone
-generators G_k = prod_{i != k} F_i come from prefix and suffix partial
-products (3r - 6 products for r >= 3 factors, none for two), so neither
+vector.  A product of forms of degrees a and b sums the coefficient pairs
+that land on each monomial, grouped by an order read once per (n, a, b)
+from the multiplication table and cached.  Tangent-cone generators
+G_k = prod_{i != k} F_i come from prefix and suffix partial products
+(3r - 6 products for r >= 3 factors, none for two), so neither
 polynomial division nor a product by the unit form is ever needed.  The
 linear-elimination helpers substitute pivot variables of linear generators
 away exactly, shrinking the ring before any rank computation.  The pivots
@@ -66,14 +68,29 @@ def random_form(n: int, e: int, p: int, rng: np.random.Generator) -> Homogeneous
     return HomogeneousForm(n, e, rng.integers(0, p, size=grade_size(n, e), dtype=np.int64))
 
 
+@lru_cache(maxsize=64)
+def _product_plan(n: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order that groups the entries of mul_table(n, a, b) by the
+    monomial they land on, and where each monomial's group starts."""
+    flat = mul_table(n, a, b).ravel()
+    order = np.argsort(flat, kind="stable")
+    landed = flat[order]
+    starts = np.flatnonzero(np.diff(landed, prepend=-1))
+    # every monomial of degree a + b is a product, so each has a group
+    assert starts.size == grade_size(n, a + b)
+    order.flags.writeable = False
+    starts.flags.writeable = False
+    return order, starts
+
+
 def multiply(f: HomogeneousForm, g: HomogeneousForm, p: int) -> HomogeneousForm:
     if f.n != g.n:
         raise ValueError(f"variable counts differ: {f.n} vs {g.n}")
-    table = mul_table(f.n, f.degree, g.degree)
-    out = np.zeros(grade_size(f.n, f.degree + g.degree), np.int64)
-    prod = (f.coeffs[:, None] * g.coeffs[None, :]) % p
-    np.add.at(out, table, prod)
-    return HomogeneousForm(f.n, f.degree + g.degree, out % p)
+    order, starts = _product_plan(f.n, f.degree, g.degree)
+    prod = np.multiply.outer(f.coeffs, g.coeffs)
+    prod %= p
+    out = np.add.reduceat(prod.ravel()[order], starts) % p
+    return HomogeneousForm(f.n, f.degree + g.degree, out)
 
 
 def tangent_generators(factors, p: int) -> tuple[HomogeneousForm, ...]:

@@ -7,24 +7,24 @@ hold the identity.  Joining a block to an echelon basis takes two products:
 reduce the block against the basis, echelon what is left, then clear the
 new pivot columns out of the basis.  A block is echeloned the same way, by
 one recursion (_echelon): echelon its top half, join its bottom half to
-that.  The default leaf, at most _LEAF rows, takes one vectorised
-Gauss-Jordan step per pivot, so the Python loop runs once per pivot and
-everything else is a float64 BLAS product (FFLAS/FFPACK, Dumas, Giorgi and
-Pernet, ACM TOMS 2008: one recursion, different leaves).  Every reduced
-echelon form in the oracle, the linear elimination's included, comes from
-here.
+that.  The leaf, at most _LEAF rows, takes one vectorised Gauss-Jordan
+step per pivot, so the Python loop runs once per pivot and everything
+else is a float64 BLAS product (FFLAS/FFPACK, Dumas, Giorgi and Pernet,
+ACM TOMS 2008).  Every reduced echelon form in the oracle, the linear
+elimination's included, comes from here.
 
 A basis can also start from rows whose pivots are known in advance: the
 products of a basis in a lower degree by monomials
 (`RankAccumulator.shadow`, the Macaulay matrix by degree of F4, Faugere,
-JPAA 1999).  The products by x_{n-1}^a, row 0 of the multiplication
-table, are already in reduced echelon form, so that block is built
-directly.  The other kept products are unit upper triangular on their
-leading columns, and stay so after reduction by that block.  They go
-through the same recursion with a leaf that multiplies by the inverse of
-its unit triangle, so no pivot is searched for.  The inverses of all
-leaves are computed together, as a few products of stacked small
-matrices.
+JPAA 1999).  The kept products, one per leading column and sorted by
+lead, are unit upper triangular on their leads, so their echelon form
+needs no pivot search (_unit_triangular).  These triangles are sparse and
+shallow: a row touches few other leads, and chains of rows that touch
+each other's leads are a few to a few dozen rows long.  So they skip the
+blocked recursion, which suits dense blocks: a row that touches no other
+lead is already reduced, and the others are reduced one dependency level
+at a time, each level by one product with the finished rows of the levels
+below it.
 
 Products are exact: a float64 sum of integers stays exact while it is
 below 2^53, so a product is cut into k-chunks of _CHUNK and reduced mod p
@@ -84,13 +84,6 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
     if 0 in (m, k, ncols):
         return np.zeros((m, ncols), np.int64)
-    return _product(a, b, p)
-
-
-def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) % p for int64 matrices, or stacks of them, with entries in
-    [0, p) and a nonempty inner dimension."""
-    k = a.shape[-1]
     af = a.astype(np.float64)
     if (p - 1) ** 2 * _CHUNK < _EXACT:
         halves = [(b.astype(np.float64), 0)]
@@ -102,8 +95,7 @@ def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     out = None
     for lo in range(0, k, _CHUNK):
         for half, shift in halves:
-            prod = (af[..., lo : lo + _CHUNK]
-                    @ half[..., lo : lo + _CHUNK, :]).astype(np.int64)
+            prod = (af[:, lo : lo + _CHUNK] @ half[lo : lo + _CHUNK]).astype(np.int64)
             prod %= p
             if shift:
                 prod <<= shift
@@ -153,9 +145,8 @@ def _leaf(a: np.ndarray, p: int) -> _Echelon:
     return a[rows][:, free] % p, np.asarray(cols, np.int64), free
 
 
-def _join(ech: _Echelon, bot: np.ndarray, p: int, echelon) -> _Echelon:
-    """Echelon form of the rows spanned by ech and the rows of bot; what
-    is left of bot after reduction by ech is echeloned by echelon."""
+def _join(ech: _Echelon, bot: np.ndarray, p: int) -> _Echelon:
+    """Echelon form of the rows spanned by ech and the rows of bot."""
     x, piv, free = ech
     if not free.size:
         return ech
@@ -167,7 +158,7 @@ def _join(ech: _Echelon, bot: np.ndarray, p: int, echelon) -> _Echelon:
     rest = rest[rest.any(axis=1)]
     if not rest.shape[0]:
         return ech
-    y, bp, bf = echelon(rest, p)
+    y, bp, bf = _echelon(rest, p)
     # Clear the new pivot columns out of the old rows.  Fresh large arrays
     # cost page faults, so the old rows are gathered straight into the
     # result (mode="clip" writes without a buffer; bf is in range) and
@@ -182,91 +173,54 @@ def _join(ech: _Echelon, bot: np.ndarray, p: int, echelon) -> _Echelon:
     return out, np.concatenate([piv, free[bp]]), free[bf]
 
 
-def _split(rows: int) -> int:
-    """Rows above the cut when _echelon splits a block of more than _LEAF
-    rows.  Halves keep the leaves balanced; cutting at a multiple of _LEAF
-    instead left a short last leaf and measured slower."""
-    return rows // 2
-
-
-def _leaf_blocks(lo: int, hi: int):
-    """Row ranges of the leaves _echelon reaches on rows lo..hi, top to
-    bottom, when no row drops out between them."""
-    if hi - lo <= _LEAF:
-        yield lo, hi
-    else:
-        cut = lo + _split(hi - lo)
-        yield from _leaf_blocks(lo, cut)
-        yield from _leaf_blocks(cut, hi)
-
-
-def _echelon(a: np.ndarray, p: int, leaf=_leaf) -> _Echelon:
-    """Echelon form of the rows of a, with leaf on blocks of at most _LEAF
-    rows: echelon the rows above _split, join the rest to that."""
+def _echelon(a: np.ndarray, p: int) -> _Echelon:
+    """Echelon form of the rows of a: Gauss-Jordan on at most _LEAF rows,
+    else echelon the top half and join the rest to it.  Halves keep the
+    leaves balanced; cutting at a multiple of _LEAF instead left a short
+    last leaf and measured slower."""
     if a.shape[0] <= _LEAF:
-        return leaf(a, p)
-    top = _split(a.shape[0])
-    return _join(_echelon(a[:top], p, leaf), a[top:], p,
-                 lambda rest, p: _echelon(rest, p, leaf))
-
-
-def _unit_inverses(u: np.ndarray, p: int) -> np.ndarray:
-    """Inverses of a stack of unit upper triangular k x k matrices.
-
-    M = I - U is nilpotent, so U^-1 = (I + M)(I + M^2)(I + M^4)... with
-    log2(k) factors: a few products of the whole stack at once.
-    """
-    k = u.shape[-1]
-    diag = np.arange(k)
-    m = (p - u) % p
-    m[:, diag, diag] = 0
-    inv = m.copy()
-    inv[:, diag, diag] = 1
-    power = m
-    span = 2
-    while span < k:
-        power = _product(power, power, p)
-        inv += _product(inv, power, p)
-        inv %= p
-        span *= 2
-    return inv
+        return _leaf(a, p)
+    top = a.shape[0] // 2
+    return _join(_echelon(a[:top], p), a[top:], p)
 
 
 def _unit_triangular(a: np.ndarray, p: int) -> _Echelon:
     """Echelon form of unit upper triangular rows, without a pivot search.
 
     Row i has a unit at its first nonzero column lead[i] and the leads
-    increase, so U = a[:, lead] is unit upper triangular.  _echelon runs
-    on the rows with a leaf of its own: each block below a split is zero
-    at the leads above it, so _join drops no row and only clears the lower
-    leads out of the upper rows, and each leaf, one of _leaf_blocks,
-    arrives with its diagonal block of U as it was.  The leaf is then
-    U_leaf^-1 times its free columns, and the inverses of all diagonal
-    blocks are computed together beforehand.
+    increase.  A row's level is 0 if it is zero at every other lead, else
+    1 + the highest level among the rows whose leads it touches.  Level 0
+    rows are already reduced.  The rows of each higher level are reduced
+    in one product: each row minus, for every row whose lead it touches,
+    its original entry at that lead times that row reduced.  Those rows
+    are all of lower levels, so already reduced, and a reduced row is zero
+    at every lead but its own: each subtracted row clears its lead and
+    changes no other.  So the result is the reduced echelon form, and no
+    row is gone over twice.
     """
-    lead = (a != 0).argmax(axis=1)
+    nz = a != 0
+    lead = nz.argmax(axis=1)
     # The solve relies on this shape; check it rather than assume it.
     assert np.all(a[np.arange(lead.size), lead] == 1) and np.all(np.diff(lead) > 0)
-    blocks = list(_leaf_blocks(0, a.shape[0]))
-    size = max(hi - lo for lo, hi in blocks)
-    # identity padding keeps short blocks unit triangular
-    u = np.zeros((len(blocks), size, size), np.int64)
-    u[:, np.arange(size), np.arange(size)] = 1
-    for b, (lo, hi) in enumerate(blocks):
-        u[b, : hi - lo, : hi - lo] = a[lo:hi, lead[lo:hi]]
-    inverses = iter(_unit_inverses(u, p))
-
-    def leaf(rows: np.ndarray, p: int) -> _Echelon:
-        inv = next(inverses)[: rows.shape[0], : rows.shape[0]]
-        leaf_lead = (rows != 0).argmax(axis=1)
-        free = np.ones(rows.shape[1], bool)
-        free[leaf_lead] = False
-        free = np.flatnonzero(free)
-        return matmul_mod(inv, rows[:, free], p), leaf_lead, free
-
-    ech = _echelon(a, p, leaf)
-    assert next(inverses, None) is None
-    return ech
+    free = np.ones(a.shape[1], bool)
+    free[lead] = False
+    free = np.flatnonzero(free)
+    x = a[:, free]
+    dep = nz[:, lead]
+    np.fill_diagonal(dep, False)
+    pending = dep.any(axis=1)
+    while pending.any():
+        rows = np.flatnonzero(pending)
+        touched = dep[rows]
+        # the next level: pending rows that touch no pending lead
+        ready = ~touched[:, pending].any(axis=1)
+        rows = rows[ready]
+        lower = np.flatnonzero(touched[ready].any(axis=0))
+        level = x[rows]
+        _sub_mod(level, matmul_mod(a[rows[:, None], lead[lower]], x[lower], p), p)
+        x[rows] = level
+        pending[rows] = False
+    return x, lead, free
 
 
 class RankAccumulator:
@@ -315,7 +269,7 @@ class RankAccumulator:
             raise ValueError(f"rows have {rows.shape[1]} columns, want {self.ncols}")
         if rows.size and (rows.min() < 0 or rows.max() >= self.p):
             rows = rows % self.p
-        self._ech = _join(self._ech, rows, self.p, _echelon)
+        self._ech = _join(self._ech, rows, self.p)
 
     def shadow(self, table: np.ndarray,
                ncols: int) -> tuple["RankAccumulator", np.ndarray]:
@@ -332,38 +286,23 @@ class RankAccumulator:
         kept, the first in the order (row of table, basis row); kept[m, i]
         says whether the product of basis row i by row m was.  Row 0 of
         mul_table (x_{n-1}^a) is injective, so every product by it is
-        kept, and those are already in reduced echelon form, since each
-        basis row is zero at every other pivot: they are scattered into
-        place as they are.  The other kept products, sorted by lead, stay
-        unit upper triangular on their leads after reduction by them (every
-        row subtracted has its lead further right) and are echeloned
-        without a pivot search.  None of this depends on a, so a table of
-        any degree works unchanged.
+        kept.  The kept products, sorted by lead, are unit upper triangular
+        on their leads and are echeloned as one block without a pivot
+        search.  None of this depends on a, so a table of any degree works
+        unchanged.
         """
-        p = self.p
-        out = RankAccumulator(ncols, p)
+        out = RankAccumulator(ncols, self.p)
         x, piv, free = self._ech
         kept = np.zeros((table.shape[0], piv.size), bool)
         if not piv.size:
             return out, kept
-        kept[0] = True
-        lead0 = table[0, piv]
-        free0 = np.ones(ncols, bool)
-        free0[lead0] = False
-        free0 = np.flatnonzero(free0)
-        x0 = np.zeros((piv.size, free0.size), np.int64)
-        x0[:, np.searchsorted(free0, table[0, free])] = x
-        ech0 = (x0, lead0, free0)
-        lead, first = np.unique(table[1:, piv], return_index=True)
-        rest = ~np.isin(lead, lead0, assume_unique=True)
-        lead, first = lead[rest], first[rest]
+        lead, first = np.unique(table[:, piv], return_index=True)
         mult, row = np.divmod(first, piv.size)
-        mult += 1
         kept[mult, row] = True
         t = np.zeros((lead.size, ncols), np.int64)
         t[np.arange(lead.size)[:, None], table[mult[:, None], free]] = x[row]
         t[np.arange(lead.size), lead] = 1
-        out._ech = _join(ech0, t, p, _unit_triangular)
+        out._ech = _unit_triangular(t, self.p)
         return out, kept
 
 

@@ -22,7 +22,9 @@ Runs that need the whole Hilbert function (oracle_run with want_hilbert,
 the Weak Lefschetz ladder, froeberg_oracle_r2) rank the degrees 0..d in
 order and build each piece on the one below: the degree-(j-1) basis times
 each variable lies in the degree-j piece with known pivots, so only the
-pivots it misses are searched for.  Those shifts include x_{n-1} times
+pivots it misses are searched for.  Those products, one per known pivot,
+are echeloned together as one unit triangular system, a dependency level
+at a time (RankAccumulator.shadow).  The shifts include x_{n-1} times
 the whole degree-(j-1) piece, so the rows m * G of a lower-degree
 generator G with x_{n-1} dividing m already lie in their span and are
 skipped.  Every other piece starts from the echelon basis of the

@@ -238,6 +238,64 @@ class TestBlockedKernel:
         basis[:, free] = x
         assert np.array_equal(basis, _reference_rref(t, p))
 
+    @staticmethod
+    def _level_solve(t, p):
+        """_unit_triangular(t, p) as one basis, checked against the
+        reference, and the number of levels it solved (one product each)."""
+        with mock.patch.object(modmat, "matmul_mod", wraps=modmat.matmul_mod) as mm:
+            x, piv, free = modmat._unit_triangular(t, p)
+        lead = (t != 0).argmax(axis=1)
+        assert np.array_equal(piv, lead)
+        assert np.array_equal(free, np.setdiff1d(np.arange(t.shape[1]), lead))
+        basis = np.zeros(t.shape, np.int64)
+        basis[np.arange(lead.size), piv] = 1
+        basis[:, free] = x
+        assert np.array_equal(basis, _reference_rref(t, p))
+        return basis, mm.call_count
+
+    @pytest.mark.parametrize("p", [7, 10007, P_MAX])
+    @pytest.mark.parametrize("k", [_LEAF - 1, 3 * _LEAF + 5])
+    def test_level_solve_on_a_bidiagonal_chain(self, p, k):
+        """Row i touches the lead of row i + 1 alone, so the rows form one
+        chain: k - 1 levels of one row each."""
+        rng = np.random.default_rng(k)
+        lead = np.arange(0, 2 * k, 2)
+        t = np.zeros((k, 2 * k), np.int64)
+        t[:, lead + 1] = np.triu(rng.integers(0, p, size=(k, k)))
+        t[np.arange(k), lead] = 1
+        t[np.arange(k - 1), lead[1:]] = rng.integers(1, p, size=k - 1)
+        assert self._level_solve(t, p)[1] == k - 1
+
+    @pytest.mark.parametrize("p", [7, 10007, P_MAX])
+    @pytest.mark.parametrize("k", [_LEAF - 1, 3 * _LEAF + 5])
+    def test_level_solve_leaves_a_reduced_block_as_it_is(self, p, k):
+        """Rows already in reduced echelon form touch no other lead: no
+        level is solved and the block comes back unchanged."""
+        rng = np.random.default_rng(k)
+        ncols = k + 40
+        t = rng.integers(0, p, size=(k, ncols), dtype=np.int64)
+        lead = np.sort(rng.choice(ncols, k, replace=False))
+        t[:, lead] = np.eye(k, dtype=np.int64)
+        t[np.arange(ncols) < lead[:, None]] = 0
+        basis, levels = self._level_solve(t, p)
+        assert levels == 0
+        assert np.array_equal(basis, t)
+
+    @pytest.mark.parametrize("p", [7, 10007, P_MAX])
+    @pytest.mark.parametrize("k", [_LEAF - 1, 3 * _LEAF + 5])
+    @pytest.mark.parametrize("density", [0.02, 0.1])
+    def test_level_solve_on_sparse_triangles(self, p, k, density):
+        """Sparse unit triangles with a few free columns, like the kept
+        products of a shadow, at several depths."""
+        rng = np.random.default_rng([k, int(100 * density)])
+        ncols = k + k // 4
+        lead = np.sort(rng.choice(ncols, k, replace=False))
+        t = np.where(rng.random((k, ncols)) < density,
+                     rng.integers(0, p, size=(k, ncols)), 0)
+        t[np.arange(ncols) <= lead[:, None]] = 0
+        t[np.arange(k), lead] = 1
+        assert 1 < self._level_solve(t, p)[1] < k
+
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.sampled_from([7, 10007, P_MAX]))
     @settings(max_examples=40, deadline=None)

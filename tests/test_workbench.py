@@ -342,6 +342,9 @@ class TestCli:
         # small enough to hold, too many products to expand in good time
         assert cli.main(["series", "--n", "4", "--l", "1000", "--partition", "3,2",
                          "--truncate", "10000", "--which", "join"]) == 2
+        # as many products as one that runs, but against far longer binomials
+        assert cli.main(["series", "--n", "100", "--l", "300", "--partition", "3,2",
+                         "--truncate", "10000", "--which", "join"]) == 2
         capsys.readouterr()
         # a wide ring is fine through a short window
         assert cli.main(["series", "--n", "100000000", "--l", "2", "--partition", "2,1",

@@ -12,54 +12,62 @@ from pathlib import Path
 
 from redsecant import PrimeFieldConfig, SweepConfig, render_csv, sweep
 
-# A small grid: n = 3..4, l = 2, everything of degree <= 5.
-cfg = SweepConfig(
-    n_range=(3, 4),
-    l_range=(2, 2),
-    d_max=5,
-    r_max=4,
-    oracle=PrimeFieldConfig(trials=2, seed=0),
-)
-rows, summary = sweep(cfg)
-print(f"{summary['total']} cells, {summary['agree']} agree, "
-      f"{summary['disagree']} disagree, {summary['skipped']} skipped")
-for status, bucket in sorted(summary["by_status"].items()):
-    print(f"  {status}: {bucket['total']} cells, {bucket['agree']} agree")
-print()
 
-# A few rows, as they would land in the CSV.
-csv_text = render_csv(rows)
-for line in csv_text.splitlines()[:4]:
-    print(line)
-print("...")
-print()
+def main():
+    # A small grid: n = 3..4, l = 2, everything of degree <= 5.
+    cfg = SweepConfig(
+        n_range=(3, 4),
+        l_range=(2, 2),
+        d_max=5,
+        r_max=4,
+        oracle=PrimeFieldConfig(trials=2, seed=0),
+    )
+    rows, summary = sweep(cfg)
+    print(f"{summary['total']} cells, {summary['agree']} agree, "
+          f"{summary['disagree']} disagree, {summary['skipped']} skipped")
+    for status, bucket in sorted(summary["by_status"].items()):
+        print(f"  {status}: {bucket['total']} cells, {bucket['agree']} agree")
+    print()
 
-# Determinism: running the same config again gives the same bytes.
-rows2, _ = sweep(cfg)
-print("rerun is byte-identical:", render_csv(rows2) == csv_text)
-print()
+    # A few rows, as they would land in the CSV.
+    csv_text = render_csv(rows)
+    for line in csv_text.splitlines()[:4]:
+        print(line)
+    print("...")
+    print()
 
-# The family sweeps reuse the same harness; 'n3' restricts itself to the
-# cells the plane-curve classification covers.
-fam_cfg = SweepConfig(
-    n_range=(3, 6),
-    l_range=(2, 3),
-    d_max=6,
-    families=("linear_factor", "n3"),
-    oracle=PrimeFieldConfig(trials=1, seed=0),
-)
-rows, summary = sweep(fam_cfg)
-fams = sorted({row.family for row in rows})
-print(f"family sweep: {summary['total']} cells across {fams}, "
-      f"{summary['agree']} agree")
-print()
+    # Determinism: running the same config again gives the same bytes.
+    rows2, _ = sweep(cfg)
+    print("rerun is byte-identical:", render_csv(rows2) == csv_text)
+    print()
 
-# Writing to a file is one extra argument; JSON keeps the full reports.
-with tempfile.TemporaryDirectory() as tmp:
-    out = Path(tmp) / "sweep.json"
-    sweep(SweepConfig(n_range=(3, 3), l_range=(2, 2), d_max=4,
-                      oracle=PrimeFieldConfig(trials=1, seed=0),
-                      out_path=out, out_format="json"))
-    doc = json.loads(out.read_text())
-    print(f"wrote {out.name}: {len(doc['rows'])} rows, "
-          f"summary total {doc['summary']['total']}")
+    # The family sweeps reuse the same harness; 'n3' restricts itself to the
+    # cells the plane-curve classification covers.
+    fam_cfg = SweepConfig(
+        n_range=(3, 6),
+        l_range=(2, 3),
+        d_max=6,
+        families=("linear_factor", "n3"),
+        oracle=PrimeFieldConfig(trials=1, seed=0),
+    )
+    rows, summary = sweep(fam_cfg)
+    fams = sorted({row.family for row in rows})
+    print(f"family sweep: {summary['total']} cells across {fams}, "
+          f"{summary['agree']} agree")
+    print()
+
+    # Writing to a file is one extra argument; JSON keeps the full reports.
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "sweep.json"
+        sweep(SweepConfig(n_range=(3, 3), l_range=(2, 2), d_max=4,
+                          oracle=PrimeFieldConfig(trials=1, seed=0),
+                          out_path=out, out_format="json"))
+        doc = json.loads(out.read_text())
+        print(f"wrote {out.name}: {len(doc['rows'])} rows, "
+              f"summary total {doc['summary']['total']}")
+
+
+# The sweeps spawn their worker processes, which import this file: keep
+# the work under the __main__ guard.
+if __name__ == "__main__":
+    main()

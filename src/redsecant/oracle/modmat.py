@@ -277,16 +277,18 @@ class RankAccumulator:
         basis, and the products it holds.
 
         Row m of table sends the columns of this space to columns of the
-        new one, strictly increasingly: for graded colex monomials,
-        mul_table(n, a, e) with this space the degree-e piece, whose row m
-        gives the rank of x^m * x^c for each monomial x^c of degree e.
-        Multiplying by any monomial is strictly increasing in colex, so the
-        product of a basis row by row m has a unit at table[m, pivot] and
-        zeros to its left.  One product per distinct leading column is
-        kept, the first in the order (row of table, basis row); kept[m, i]
-        says whether the product of basis row i by row m was.  Row 0 of
-        mul_table (x_{n-1}^a) is injective, so every product by it is
-        kept.  The kept products, sorted by lead, are unit upper triangular
+        new one, strictly increasingly: with this space the degree-e piece
+        and columns in a monomial order that multiplication preserves, row
+        m gives the column of x^m * x^c for each monomial x^c of degree e.
+        The oracle's pieces take reversed colex, which is degrevlex, and
+        their tables are mul_table(n, a, e) reversed on both sides.  As
+        multiplying by a monomial is strictly increasing, the product of a
+        basis row by row m has a unit at table[m, pivot] and zeros to its
+        left.  One product per distinct leading column is kept, the first
+        in the order (row of table, basis row); kept[m, i] says whether the
+        product of basis row i by row m was.  Row 0 (x_{n-1}^a in the
+        oracle's tables) is injective and comes first, so every product by
+        it is kept.  The kept products, sorted by lead, are unit upper triangular
         on their leads and are echeloned as one block without a pivot
         search.  None of this depends on a, so a table of any degree works
         unchanged.

@@ -14,9 +14,24 @@ elimination path has the same ranks as the naive one, so the same bound
 holds there.  froeberg_oracle_r2 ranks plain random forms, whose entries
 are linear, so its bound is R/p.  A run over several degrees fails if any
 degree does, so its bound is the sum over those degrees.  Taking R at most
-the column count, oracle_run, the ladder levels and froeberg_oracle_r2
-warn once per run when that sum reaches 1.  No closed-form prediction is
-consulted anywhere in this module.
+the column count, oracle_run, the ladder and froeberg_oracle_r2 warn once
+per run when that sum reaches 1.  A ladder level's matrix is a projection
+of its top level's, with entries of the same degree, so each level keeps
+its own bound R(r - 1)/p and the ladder warns once, for its top.  No
+closed-form prediction is consulted anywhere in this module.
+
+The Terracini columns of degree j are the monomials in reversed colex
+order: colex rank c sits at column grade_size(n, j) - 1 - c.  That order
+is degrevlex (x_0 > ... > x_{n-1}), so each pivot of an echelon basis is
+a degrevlex leading term, and the pivots of a piece span its initial
+ideal in that degree.  Ranks do not depend on the column order, but the
+pivots left to search do: each degree's new pivots are the minimal
+generators of the initial ideal there, and degrevlex generic initial
+ideals have the fewest (Bayer and Stillman, Invent. Math. 1987).  The
+order also puts the monomials free of x_v, ..., x_{n-1} first, so
+setting those variables to zero projects a piece onto a column prefix,
+and the Weak Lefschetz ladder reads every level off one run as pivot
+counts inside prefixes (_levels_over_trials).
 
 Runs that need the whole Hilbert function (oracle_run with want_hilbert,
 the Weak Lefschetz ladder, froeberg_oracle_r2) rank the degrees 0..d in
@@ -196,22 +211,27 @@ def ideal_piece_rank(generators: Sequence[HomogeneousForm], j: int, p: int,
 
 
 def _shift_table(n: int, a: int, b: int) -> np.ndarray:
-    """mul_table(n, a, b), or the same rows computed uncached when the
-    table would hold more than _GATHER_ENTRIES entries."""
+    """mul_table(n, a, b) in reversed colex on both column spaces: row m
+    sends column c of degree b to the column of x^m * x^c in degree a + b.
+    Its rows are computed uncached when the table would hold more than
+    _GATHER_ENTRIES entries."""
     rows = grade_size(n, a)
     if rows * grade_size(n, b) <= _GATHER_ENTRIES:
-        return mul_table(n, a, b)
-    return table_rows(n, a, b, 0, rows)
+        table = mul_table(n, a, b)
+    else:
+        table = table_rows(n, a, b, 0, rows)
+    return grade_size(n, a + b) - 1 - table[:, ::-1]
 
 
 def _generator_rows(g: HomogeneousForm, j: int) -> Callable:
-    """rows(lo, hi): the columns and values of the rows m * g for the
-    monomials m of degree j - deg g ranked lo..hi."""
+    """rows(lo, hi): the columns, in reversed colex, and values of the
+    rows m * g for the monomials m of degree j - deg g ranked lo..hi."""
     n, a, b = g.n, j - g.degree, g.degree
+    last = grade_size(n, j) - 1
     if grade_size(n, a) * g.coeffs.size <= _GATHER_ENTRIES:
         table = mul_table(n, a, b)
-        return lambda lo, hi: (table[lo:hi], g.coeffs)
-    return lambda lo, hi: (table_rows(n, a, b, lo, hi), g.coeffs)
+        return lambda lo, hi: (last - table[lo:hi], g.coeffs)
+    return lambda lo, hi: (last - table_rows(n, a, b, lo, hi), g.coeffs)
 
 
 def _ideal_piece(generators: Sequence[HomogeneousForm], j: int, p: int,
@@ -221,6 +241,14 @@ def _ideal_piece(generators: Sequence[HomogeneousForm], j: int, p: int,
 
     The piece has one of the two starts below, and only the pivots its
     start misses are searched for among the rows fed after it.
+
+    Columns are in reversed colex (degrevlex) order: colex column c of
+    the piece sits at grade_size(n, j) - 1 - c, so a generator's
+    coefficients enter reversed, its rows scatter to grade_size(n, j) - 1
+    minus their mul_table columns, and the shadow tables are mul_table
+    reversed the same way on both sides (_shift_table).  Those tables
+    still increase strictly along each row, and the multipliers, the rows
+    of the tables, keep their colex order.
 
     below, if given, holds the degree-(j-1) piece of the same ideal, and
     the start is its basis times each variable.  The shadow keeps every
@@ -261,7 +289,7 @@ def _ideal_piece(generators: Sequence[HomogeneousForm], j: int, p: int,
                             grade_size(n, a), _generator_rows(g, j)))
     else:
         seed = RankAccumulator(grade_size(n, e0), p)
-        seed.add_rows(np.array([g.coeffs for g in usable if g.degree == e0]))
+        seed.add_rows(np.array([g.coeffs[::-1] for g in usable if g.degree == e0]))
         if e0 == j:
             return seed
         table = _shift_table(n, j - e0, e0)
@@ -303,31 +331,66 @@ def _hilbert_over_trials(sample: Callable[[int], tuple], degrees: Sequence[int],
 
     sample(trial) returns (n_vars, forms); the trial's value at degree j is
     grade_size(n_vars, j) minus the rank of the degree-j piece of the
-    ideal.  Where degree j - 1 was asked for just before j, the degree-j
-    piece is built on the one below (see _ideal_piece).  A random
-    specialization can only have smaller ranks, hence larger values, than
-    the generic ideal, so the minimum over trials is the certified bound.
-    Trials stop once that minimum equals target.  Returns the minimum and
-    the Hilbert function of each trial run.
+    ideal.  Trials stop once the minimum equals target.  Returns the
+    minimum and the Hilbert function of each trial run; this is
+    _levels_over_trials with the one level n_vars.
     """
-    best: Optional[tuple[int, ...]] = None
-    per_trial: list[tuple[int, ...]] = []
-    for trial in range(cfg.trials):
+    def one_level(trial: int):
         n_vars, forms = sample(trial)
-        hf = []
+        return (n_vars,), forms
+
+    (best,), _, per_trial = _levels_over_trials(one_level, degrees, cfg, (target,))
+    return best, [hf for hf, in per_trial]
+
+
+def _levels_over_trials(sample: Callable[[int], tuple], degrees: Sequence[int],
+                        cfg: PrimeFieldConfig, targets: Sequence):
+    """Hilbert functions of sampled ideals and of their restrictions,
+    minimized over trials, one per level.
+
+    sample(trial) returns (counts, forms), the forms in counts[0]
+    variables.  Level i is the ideal with the variables from x_{counts[i]}
+    on set to zero, and its value at degree j is grade_size(counts[i], j)
+    minus the rank of its degree-j piece.  That piece is the projection
+    of the ideal's degree-j piece onto the monomials free of those
+    variables, which in reversed colex are the first
+    grade_size(counts[i], j) columns (see _ideal_piece); a reduced echelon
+    basis projects onto a column prefix with rank the number of its
+    pivots inside it.  So every level is read off one echelon per degree,
+    and level 0 takes all its pivots, the rank.  Where degree j - 1 was
+    asked for just before j, the degree-j piece is built on the one below.
+
+    A random specialization can only have smaller ranks, hence larger
+    values, than the generic ideal, so each level's minimum over trials is
+    its certified bound.  A level stops at the first trial where its
+    minimum equals its target, and keeps that minimum and trial count;
+    trials stop once every level has.  Returns each level's minimum, each
+    level's trials used and, per trial run, every level's Hilbert function.
+    """
+    best: list = [None] * len(targets)
+    used = [0] * len(targets)
+    per_trial: list[tuple[tuple[int, ...], ...]] = []
+    for trial in range(cfg.trials):
+        counts, forms = sample(trial)
+        hfs: list[list[int]] = [[] for _ in counts]
         acc, prev = None, None
         for j in degrees:
             below = acc if prev == j - 1 else None
             acc = _ideal_piece(forms, j, cfg.p, cfg.max_columns, below)
             prev = j
-            hf.append(grade_size(n_vars, j) - (0 if acc is None else acc.rank))
-        hf = tuple(hf)
-        per_trial.append(hf)
-        best = hf if best is None else tuple(map(min, best, hf))
-        if best == target:
+            pivots = np.zeros(0, np.int64) if acc is None else acc.pivots
+            for hf, v in zip(hfs, counts):
+                size = grade_size(v, j)
+                hf.append(size - int(np.count_nonzero(pivots < size)))
+        per_trial.append(tuple(map(tuple, hfs)))
+        for i, hf in enumerate(per_trial[-1]):
+            if used[i] and best[i] == targets[i]:
+                continue
+            best[i] = hf if best[i] is None else tuple(map(min, best[i], hf))
+            used[i] = trial + 1
+        if all(b == t for b, t in zip(best, targets)):
             break
-    assert best is not None
-    return best, per_trial
+    return best, used, per_trial
 
 
 def _json_fields(obj) -> dict:
@@ -485,43 +548,57 @@ class WlpCheckResult:
         return _json_fields(self)
 
 
-@functools.lru_cache(maxsize=1024)
-def _ladder_level(n_vars: int, parts: tuple[int, ...], l: int,
-                  cfg: PrimeFieldConfig) -> WlpLevel:
-    """One Weak Lefschetz level: the oracle Hilbert function of the l-point
-    construction in n_vars variables against the predicted one.  Memoised,
-    since the ladders of neighbouring n share their upper levels."""
+# Every ladder rung has at least this many variables: an instance has n >= 3.
+_LADDER_FLOOR = 3
+
+
+@functools.lru_cache(maxsize=256)
+def _ladder(parts: tuple[int, ...], l: int,
+            cfg: PrimeFieldConfig) -> dict[int, WlpLevel]:
+    """Every Weak Lefschetz rung of the l-point construction, by variable
+    count v from _LADDER_FLOOR to 2l: its oracle Hilbert function against
+    the predicted one.  Memoised, since the ladders of every n share them.
+
+    One run samples the points in m variables, the largest count whose
+    degree-d piece the column guard admits, and reads each rung v <= m off
+    its echelons (see _levels_over_trials): setting x_v, ..., x_{m-1} to
+    zero turns uniform random factors in m variables into uniform random
+    factors in v.  A rung's matrix is a projection of the top one, so
+    each rung has its own failure bound R(r - 1)/p, and the run warns
+    once, for the top.  Rungs above m are skipped with the reason.
+    """
     d = sum(parts)
-    target = predicted_hilbert(n_vars, l, parts).coeffs
-    ncols = grade_size(n_vars, d)
-    if ncols > cfg.max_columns:
-        return WlpLevel(
-            variables=n_vars,
-            predicted=target,
+    rungs: dict[int, WlpLevel] = {}
+    m = 2 * l
+    while m >= _LADDER_FLOOR and grade_size(m, d) > cfg.max_columns:
+        rungs[m] = WlpLevel(
+            variables=m,
+            predicted=predicted_hilbert(m, l, parts).coeffs,
             observed=None,
             matched=None,
             trials_used=0,
             skipped_reason=(
-                f"degree-{d} piece in {n_vars} variables has {ncols} "
+                f"degree-{d} piece in {m} variables has {grade_size(m, d)} "
                 f"columns, guard is {cfg.max_columns}"
             ),
         )
-
-    _warn_failure_bound(grade_size(n_vars + 1, d), len(parts) - 1, cfg.p)
+        m -= 1
+    counts = tuple(range(m, _LADDER_FLOOR - 1, -1))
+    if not counts:
+        return rungs
+    targets = [predicted_hilbert(v, l, parts).coeffs for v in counts]
+    _warn_failure_bound(grade_size(m + 1, d), len(parts) - 1, cfg.p)
 
     def sample(trial: int):
-        return n_vars, [g for point in range(l)
-                        for g in _point_generators(n_vars, parts, cfg.p, cfg.seed,
+        return counts, [g for point in range(l)
+                        for g in _point_generators(m, parts, cfg.p, cfg.seed,
                                                    _TAG_WLP, trial, point)]
 
-    observed, per_trial = _hilbert_over_trials(sample, range(d + 1), cfg, target)
-    return WlpLevel(
-        variables=n_vars,
-        predicted=target,
-        observed=observed,
-        matched=observed == target,
-        trials_used=len(per_trial),
-    )
+    observed, used, _ = _levels_over_trials(sample, range(d + 1), cfg, targets)
+    for v, target, hf, trials in zip(counts, targets, observed, used):
+        rungs[v] = WlpLevel(variables=v, predicted=target, observed=hf,
+                            matched=hf == target, trials_used=trials)
+    return rungs
 
 
 def wlp_consequence_check(inst: ProblemInstance,
@@ -532,17 +609,21 @@ def wlp_consequence_check(inst: ProblemInstance,
     Otherwise, for i = 0..k the construction is re-realized with l points in
     2l - i variables (quotienting by general linear forms preserves the
     Hilbert series of the join), and its oracle Hilbert function through
-    degree d must equal plus_truncate(numerator^l / (1-t)^(2l-i)).  Levels
-    whose matrices exceed the column guard are skipped with a reason and do
-    not fail the check; any executed mismatch does.
+    degree d must equal plus_truncate(numerator^l / (1-t)^(2l-i)).  Every
+    level is read off one run in the most variables the column guard
+    admits: the lower levels are its points with the last variables set to
+    zero, and their Hilbert functions count its pivots inside column
+    prefixes (see _ladder).  Levels whose matrices exceed the column guard
+    are skipped with a reason and do not fail the check; any executed
+    mismatch does.
     """
     n, l = inst.n, inst.l
     part = inst.partition
     k = max(0, 2 * l - n)
     if k == 0:
         return WlpCheckResult(inst, 0, True, True, ())
-    levels = tuple(_ladder_level(2 * l - i, part.parts, l, cfg)
-                   for i in range(k + 1))
+    rungs = _ladder(part.parts, l, cfg)
+    levels = tuple(rungs[2 * l - i] for i in range(k + 1))
     passed = all(lv.matched is not False for lv in levels)
     return WlpCheckResult(inst, k, passed, False, levels)
 

@@ -43,7 +43,13 @@ from redsecant.oracle import (
 from redsecant.oracle import forms, modmat, runs
 from redsecant.oracle.modmat import _CHUNK, _LEAF, P_LIMIT
 from redsecant.predictor import predict
-from redsecant.series import expand_rational, reducible_numerator, series_pow
+from redsecant.series import (
+    TruncatedSeries,
+    expand_rational,
+    predicted_hilbert,
+    reducible_numerator,
+    series_pow,
+)
 
 P_TEST = 1_000_003
 # The largest prime below P_LIMIT: every float64 product takes the split path.
@@ -378,29 +384,32 @@ def _evaluate(form, point, p):
 
 def _seeded_feed(gens, j, p):
     """The rows _ideal_piece feeds at degree j alone, by one product per
-    row: those of the seed (the coefficients of the nonzero generators of
-    the lowest degree e0, when e0 < j) and those of the degree-j piece.
-    The latter are the products m * b of the seed's reduced echelon basis
-    rows b by the monomials m of degree j - e0 that the shadow does not
-    keep (it keeps the first per lead x^m * x^pivot(b), in the order
-    (m, b)), then the brute-force rows of the generators above e0."""
+    row, with every row's columns in the kernel's order: colex column c of
+    a piece with N columns at N - 1 - c.  Those of the seed (the
+    coefficients of the nonzero generators of the lowest degree e0, when
+    e0 < j) and those of the degree-j piece.  The latter are the products
+    m * b of the seed's reduced echelon basis rows b by the monomials m of
+    degree j - e0 that the shadow does not keep (it keeps the first per
+    lead x^m * x^pivot(b), in the order (m, b)), then the brute-force rows
+    of the generators above e0."""
     usable = [g for g in gens if g.degree <= j and not g.is_zero]
     e0 = min(g.degree for g in usable)
     if e0 == j:
-        return [], _brute_rows(usable, j, p)
+        return [], [row[::-1] for row in _brute_rows(usable, j, p)]
     n = usable[0].n
-    seed = [g.coeffs for g in usable if g.degree == e0]
+    seed = [g.coeffs[::-1] for g in usable if g.degree == e0]
     basis = _reference_rref(seed, p)
-    pivots = (basis != 0).argmax(axis=1)
+    pivots = grade_size(n, e0) - 1 - (basis != 0).argmax(axis=1)
     leads, unkept = set(), []
     for m in exponents(n, j - e0).tolist():
         for b, c in zip(basis, pivots):
             lead = rank_exponent(np.add(m, exponents(n, e0)[c]))
             if lead in leads:
-                unkept.append(multiply(HomogeneousForm(n, e0, b),
-                                       monomial_form(n, m, p), p).coeffs)
+                unkept.append(multiply(HomogeneousForm(n, e0, b[::-1]),
+                                       monomial_form(n, m, p), p).coeffs[::-1])
             leads.add(lead)
-    return seed, unkept + _brute_rows([g for g in usable if g.degree > e0], j, p)
+    above = _brute_rows([g for g in usable if g.degree > e0], j, p)
+    return seed, unkept + [row[::-1] for row in above]
 
 
 def _brute_rows(gens, j, p):
@@ -593,10 +602,10 @@ class TestIdealPieceRank:
         """Gathered rows against one product per row, at degree j alone:
         the seed is fed the nonzero generators of the lowest degree, the
         degree-j piece is fed exactly the rows of _seeded_feed in order,
-        and the rank is that of all the brute-force rows.  Mixed degrees
-        with constants, zero forms (one of the lowest degree), a generator
-        above degree j and p = 7, where random forms often degenerate, are
-        drawn.  The gather limit and the block size are drawn small as
+        each with colex column c at N - 1 - c, and the rank is that of all
+        the brute-force rows.  Mixed degrees with constants, zero forms
+        (one of the lowest degree), a generator above degree j and p = 7,
+        where random forms often degenerate, are drawn.  The gather limit and the block size are drawn small as
         well, so rows whose table is not built and blocks that split a
         generator are covered; with the limit at 0 every table is
         refused."""
@@ -722,10 +731,11 @@ class TestIdealPieceRank:
     def test_shadowed_degree_feeds_only_rows_off_x_star(self, n, j, p, data):
         """Built on the degree below, the degree-j piece is fed exactly the
         brute-force rows m * G whose monomial m is free of x_{n-1}, the
-        variable of row 0 of mul_table(n, 1, j-1), in order; the rows with
-        x_{n-1} dividing m lie in the shadow's span.  The rank is that of
-        all the rows.  Generators of mixed degrees, a zero form, one above
-        degree j, small blocks and refused tables are drawn."""
+        variable of row 0 of mul_table(n, 1, j-1), in order, each with
+        colex column c at N - 1 - c; the rows with x_{n-1} dividing m lie in
+        the shadow's span.  The rank is that of all the rows.  Generators
+        of mixed degrees, a zero form, one above degree j, small blocks and
+        refused tables are drawn."""
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         degrees = data.draw(st.lists(st.integers(0, j - 1), min_size=1, max_size=3))
         degrees += [j] * data.draw(st.integers(0, 2))
@@ -753,7 +763,7 @@ class TestIdealPieceRank:
                 mock.patch.object(RankAccumulator, "add_rows", record):
             acc = runs._ideal_piece(gens, j, p, below=below)
         assert exponents(n, 1)[0][n - 1] == 1
-        want = [multiply(g, monomial_form(n, m, p), p).coeffs
+        want = [multiply(g, monomial_form(n, m, p), p).coeffs[::-1]
                 for g in gens if g.degree <= j and not g.is_zero
                 for m in exponents(n, j - g.degree).tolist() if m[n - 1] == 0]
         if acc.rank < grade_size(n, j):
@@ -984,16 +994,119 @@ class TestWlpConsequence:
         assert len(doc["levels"]) == 3
 
     def test_levels_are_shared_across_ladders(self):
-        """The ladder at n = 5 is the top of the ladder at n = 4, so its
-        levels come from the memo and are the very same results."""
+        """The ladders at n = 4 and n = 5 are read off one memoised run:
+        the first call runs it, the second finds it, and the n = 5 ladder
+        is the top of the n = 4 one, as the very same results."""
         cfg = PrimeFieldConfig(trials=1, seed=424242)
+        before = runs._ladder.cache_info()
         low = wlp_consequence_check(inst(4, 3, [2, 1]), cfg)
-        hits = runs._ladder_level.cache_info().hits
         high = wlp_consequence_check(inst(5, 3, [2, 1]), cfg)
-        assert runs._ladder_level.cache_info().hits == hits + 2
+        after = runs._ladder.cache_info()
+        assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
         assert [lv.variables for lv in low.levels] == [6, 5, 4]
         assert high.levels == low.levels[:2]
         assert all(a is b for a, b in zip(high.levels, low.levels))
+
+    # (l, parts) families for the ladder reads: two or three points, two to
+    # four parts, degrees 2 to 5.
+    FAMILIES = ((2, (1, 1)), (2, (2, 1)), (2, (3, 1)), (2, (2, 2)),
+                (3, (1, 1, 1)), (3, (2, 1)), (3, (2, 2)), (2, (2, 1, 1, 1)))
+
+    @pytest.mark.parametrize("p", [7, 10007, P_MAX])
+    def test_levels_are_the_top_points_restricted(self, p):
+        """Every level of a one-trial ladder (n = 3, so levels 2l..3) is
+        the Hilbert function of the top run's points, sampled in m = 2l
+        variables, with x_v, ..., x_{m-1} set to zero: ranked here by
+        brute-force colex rows of the restricted generators, one degree at
+        a time.  p = 7 makes degenerate points likely, which the equality
+        must survive."""
+        cfg = PrimeFieldConfig(p=p, trials=1, seed=17)
+        for l, parts in self.FAMILIES:
+            gens = [g for point in range(l)
+                    for g in runs._point_generators(2 * l, parts, p, cfg.seed,
+                                                    runs._TAG_WLP, 0, point)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                res = wlp_consequence_check(inst(3, l, list(parts)), cfg)
+            assert [lv.variables for lv in res.levels] == list(range(2 * l, 2, -1))
+            for lv in res.levels:
+                want = _restricted_hilbert(gens, lv.variables, sum(parts), p)
+                assert lv.observed == want, (l, parts, lv.variables)
+
+    @pytest.mark.parametrize("p", [7, 10007, P_MAX])
+    def test_an_unmatched_level_takes_every_trial_alone(self, p, monkeypatch):
+        """With the 5-variable target out of reach, that level uses every
+        trial and reports no match, while every other level keeps the
+        result, trial count included, of the unpatched run: a level stops
+        at its first match though the trials go on."""
+        cfg = PrimeFieldConfig(p=p, trials=3, seed=23)
+        parts, l = (2, 1), 3
+        real = runs.predicted_hilbert
+
+        def target(v, l, parts):
+            series = real(v, l, parts)
+            if v != 5:
+                return series
+            return TruncatedSeries((-1,) + series.coeffs[1:])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            plain = runs._ladder.__wrapped__(parts, l, cfg)
+            monkeypatch.setattr(runs, "predicted_hilbert", target)
+            patched = runs._ladder.__wrapped__(parts, l, cfg)
+        assert sorted(patched) == sorted(plain) == [3, 4, 5, 6]
+        assert patched[5].trials_used == cfg.trials
+        assert patched[5].matched is False and patched[5].predicted[0] == -1
+        for v in (3, 4, 6):
+            assert patched[v] == plain[v], v
+        if p != 7:
+            assert all(lv.trials_used == 1 and lv.matched for lv in plain.values())
+            assert patched[5].observed == plain[5].observed
+
+    @pytest.mark.parametrize("p", [7, 10007, P_MAX])
+    def test_guard_skips_leave_the_rest_to_the_largest_admitted_count(
+            self, p, monkeypatch):
+        """[2, 1] at l = 3 has 56, 35, 20 and 10 cubic columns in 6, 5, 4
+        and 3 variables.  Under a guard of 35 the 6-variable level is
+        skipped with its reason, the points are sampled in 5 variables
+        only, and every lower level is read off that run."""
+        cfg = PrimeFieldConfig(p=p, trials=1, seed=29, max_columns=35)
+        sampled = []
+        real = runs._point_generators
+        monkeypatch.setattr(runs, "_point_generators",
+                            lambda n, *rest: sampled.append(n) or real(n, *rest))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = wlp_consequence_check(inst(3, 3, [2, 1]), cfg)
+        assert [lv.skipped_reason for lv in res.levels] == [
+            "degree-3 piece in 6 variables has 56 columns, guard is 35",
+            None, None, None]
+        top = res.levels[0]
+        assert (top.observed, top.matched, top.trials_used) == (None, None, 0)
+        assert top.predicted == predicted_hilbert(6, 3, [2, 1]).coeffs
+        assert set(sampled) == {5}
+        gens = [g for point in range(3)
+                for g in real(5, (2, 1), p, cfg.seed, runs._TAG_WLP, 0, point)]
+        for lv in res.levels[1:]:
+            assert lv.observed == _restricted_hilbert(gens, lv.variables, 3, p)
+
+
+def _restricted_hilbert(gens, v, d, p):
+    """Hilbert function through degree d of the generators with
+    x_v, ..., x_{n-1} set to zero, as forms in v variables, from
+    brute-force colex rows and rank_of, one degree at a time."""
+    restricted = []
+    for g in gens:
+        exps = exponents(g.n, g.degree)
+        keep = ~exps[:, v:].any(axis=1)
+        coeffs = np.zeros(grade_size(v, g.degree), np.int64)
+        coeffs[rank_rows(exps[keep, :v])] = g.coeffs[keep]
+        restricted.append(HomogeneousForm(v, g.degree, coeffs))
+    hf = []
+    for j in range(d + 1):
+        rows = np.array(_brute_rows(restricted, j, p), np.int64)
+        hf.append(grade_size(v, j) - rank_of(rows.reshape(-1, grade_size(v, j)), p))
+    return tuple(hf)
 
 
 class TestFroebergBridge:

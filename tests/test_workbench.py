@@ -146,6 +146,33 @@ class TestSweep:
         assert render_csv(rows) == render_csv(
             sweep(small_config(d_max=3, predictor_only=True))[0])
 
+    def test_pool_spawns_workers_with_one_blas_thread(self, monkeypatch):
+        """The sweep's pool hands a spawn context to the executor, and its
+        processes start with every BLAS thread variable the user left
+        unset at 1, which the parent does not keep.  Fakes stand in for the
+        executor and for the process start, so no process starts."""
+        made = []
+        monkeypatch.setattr(workbench.futures.ProcessPoolExecutor, "__init__",
+                            lambda pool, *args, **kwargs: made.append((args, kwargs)))
+        workbench.ProcessPoolExecutor(max_workers=2)
+        ((args, kwargs),) = made
+        ctx = kwargs["mp_context"]
+        assert args == (2,) and ctx.get_start_method() == "spawn"
+        assert ctx.Process is workbench._OneBlasThreadProcess
+
+        seen = []
+        monkeypatch.setattr(workbench._SPAWN.Process, "start", lambda proc: seen.append(
+            {var: workbench.os.environ.get(var) for var in workbench._BLAS_THREAD_VARS}))
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        ctx.Process(target=print).start()
+        assert seen == [{"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+                         "MKL_NUM_THREADS": "1"}]
+        assert "OPENBLAS_NUM_THREADS" not in workbench.os.environ
+        assert "MKL_NUM_THREADS" not in workbench.os.environ
+        assert workbench.os.environ["OMP_NUM_THREADS"] == "2"
+
     def test_skipped_rows_are_kept(self):
         cfg = small_config(d_max=8,
                            oracle=PrimeFieldConfig(trials=1, max_columns=20))

@@ -48,7 +48,21 @@ Above e0, as in runs at degree d alone (oracle_run, sweeps), the start is
 that basis times every monomial of degree j - e0, one product per
 distinct lead having a known pivot; only the products left out of it are
 fed, then the rows of the higher-degree generators.  Either way no row
-outside the span already held is dropped, so the ranks are exact.
+outside the span already held is dropped.
+
+Built on the degree below, a piece gains few pivots per row it is fed:
+on a traced ladder round, nine rows in ten reduce to zero.  So there
+each block B of b > 64 rows is fed as S * B, for S a uniform 32 x b
+random matrix from the stream _rng(seed, _TAG_SKETCH, trial), and
+B itself is fed too only when S * B gains more than 24 pivots (random
+compression; Cheung, Kwok and Lau, JACM 2013).  S * B lies in the span of
+B, so a sketch can only lower a rank, and every rank stays a certified
+lower bound.  If B adds t dimensions, S * B adds the rank of a uniform
+32 x t matrix, so an accepted block has missed one with probability below
+p^-7 / (p - 1): 2e-7 at p = 7, about 1e-48 at the default p.  These terms
+add to a trial's failure bound; the warning leaves them out, as they sum
+to 1 only past p^7 (p - 1) sketched blocks.  Runs at degree d alone never
+sketch, and without a sketch every rank is exact.
 """
 
 from __future__ import annotations
@@ -65,7 +79,7 @@ from ..combinatorics import ProblemInstance, expected_dim
 from ..series import expand_rational, plus_truncate, predicted_hilbert
 from ..series import reducible_numerator, series_pow
 from .forms import HomogeneousForm, eliminate_linear, random_form, tangent_generators
-from .modmat import P_LIMIT, RankAccumulator
+from .modmat import P_LIMIT, RankAccumulator, matmul_mod
 from .monomials import grade_size, mul_table, table_rows
 
 # Entries in one block of rows handed to the rank kernel.
@@ -75,6 +89,11 @@ _BATCH_ENTRIES = 250_000
 # takes its columns from table_rows block by block instead, so no large
 # table is ever built or cached.
 _GATHER_ENTRIES = 1 << 20
+
+# Sketch rows, margin and block threshold of _feed_sketched.
+_SKETCH_ROWS = 32
+_SKETCH_MARGIN = 8
+_SKETCH_MIN_ROWS = 64
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -148,6 +167,7 @@ class ResourceGuardExceeded(RuntimeError):
 _TAG_ORACLE = 0
 _TAG_WLP = 1
 _TAG_FROEBERG = 2
+_TAG_SKETCH = 3
 
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
@@ -234,9 +254,36 @@ def _generator_rows(g: HomogeneousForm, j: int) -> Callable:
     return lambda lo, hi: (last - table_rows(n, a, b, lo, hi), g.coeffs)
 
 
+def _feed_sketched(acc: RankAccumulator, sketch: Callable[[], np.random.Generator],
+                   block: np.ndarray) -> None:
+    """Join a block of residues to acc, through a sketch if it is large.
+
+    A block B of b > _SKETCH_MIN_ROWS rows is fed as S * B, for S a
+    uniform _SKETCH_ROWS x b matrix drawn from the generator sketch()
+    returns.  If B adds t dimensions to the span acc holds, S * B adds the
+    rank of a uniform _SKETCH_ROWS x t matrix.  When that gain exceeds
+    _SKETCH_ROWS - _SKETCH_MARGIN pivots, B is fed as well and the join is
+    exact.  Otherwise the sketch is accepted, and it missed a dimension
+    only if the first min(t, 25) columns of that random matrix are
+    dependent, which has probability below p^(min(t, 25) - 32) / (p - 1)
+    <= p^-7 / (p - 1).  S * B lies in the span of B, so a miss can only
+    lower the rank.
+    """
+    if block.shape[0] <= _SKETCH_MIN_ROWS:
+        acc.add_rows(block)
+        return
+    s = sketch().integers(0, acc.p, size=(_SKETCH_ROWS, block.shape[0]))
+    rank = acc.rank
+    acc.add_rows(matmul_mod(s, block, acc.p))
+    if acc.rank - rank > _SKETCH_ROWS - _SKETCH_MARGIN:
+        acc.add_rows(block)
+
+
 def _ideal_piece(generators: Sequence[HomogeneousForm], j: int, p: int,
                  max_columns: Optional[int] = None,
-                 below: Optional[RankAccumulator] = None) -> Optional[RankAccumulator]:
+                 below: Optional[RankAccumulator] = None,
+                 sketch: Optional[Callable[[], np.random.Generator]] = None
+                 ) -> Optional[RankAccumulator]:
     """The accumulator behind ideal_piece_rank, or None for a zero piece.
 
     The piece has one of the two starts below, and only the pivots its
@@ -257,7 +304,11 @@ def _ideal_piece(generators: Sequence[HomogeneousForm], j: int, p: int,
     m * G with x* dividing m and deg G < j.  Those rows are not fed: in
     colex order they are the first grade_size(n, a) - grade_size(n-1, a)
     monomials of degree a = j - deg G, so each generator's rows start
-    after them.
+    after them.  Most of the span is then in the shadow already, so with
+    sketch given each block goes through _feed_sketched: one of more than
+    _SKETCH_MIN_ROWS rows is fed as random combinations of its rows first.
+    The rank stays a lower bound, and a block misses a dimension with
+    probability below p^-7 / (p - 1).
 
     Otherwise the generators of the lowest degree e0 are echeloned first.
     When e0 == j that echelon is the piece.  When e0 < j the start is its
@@ -267,7 +318,7 @@ def _ideal_piece(generators: Sequence[HomogeneousForm], j: int, p: int,
     then the rows of the generators of degree above e0.
 
     Either way no row outside the span of what the accumulator holds is
-    dropped, so the rank is exact.
+    dropped, so without a sketch the rank is exact.
     """
     usable = [g for g in generators if g.degree <= j and not g.is_zero]
     if not usable:
@@ -302,6 +353,8 @@ def _ideal_piece(generators: Sequence[HomogeneousForm], j: int, p: int,
                        for g in usable if g.degree > e0)
     if acc.rank == ncols:
         return acc
+    feed = (acc.add_rows if below is None or sketch is None
+            else functools.partial(_feed_sketched, acc, sketch))
     step = max(1, _BATCH_ENTRIES // ncols)
     left = sum(hi - lo for lo, hi, _ in sources)
     batch = np.zeros((min(step, left), ncols), np.int64)
@@ -314,7 +367,7 @@ def _ideal_piece(generators: Sequence[HomogeneousForm], j: int, p: int,
             filled += hi - lo
             lo = hi
             if filled == batch.shape[0]:
-                acc.add_rows(batch)
+                feed(batch)
                 left -= filled
                 if acc.rank == ncols:
                     return acc
@@ -358,7 +411,9 @@ def _levels_over_trials(sample: Callable[[int], tuple], degrees: Sequence[int],
     basis projects onto a column prefix with rank the number of its
     pivots inside it.  So every level is read off one echelon per degree,
     and level 0 takes all its pivots, the rank.  Where degree j - 1 was
-    asked for just before j, the degree-j piece is built on the one below.
+    asked for just before j, the degree-j piece is built on the one below,
+    and its large blocks are sketched by the trial's stream
+    _rng(seed, _TAG_SKETCH, trial), made at its first use.
 
     A random specialization can only have smaller ranks, hence larger
     values, than the generic ideal, so each level's minimum over trials is
@@ -372,11 +427,12 @@ def _levels_over_trials(sample: Callable[[int], tuple], degrees: Sequence[int],
     per_trial: list[tuple[tuple[int, ...], ...]] = []
     for trial in range(cfg.trials):
         counts, forms = sample(trial)
+        sketch = functools.cache(functools.partial(_rng, cfg.seed, _TAG_SKETCH, trial))
         hfs: list[list[int]] = [[] for _ in counts]
         acc, prev = None, None
         for j in degrees:
             below = acc if prev == j - 1 else None
-            acc = _ideal_piece(forms, j, cfg.p, cfg.max_columns, below)
+            acc = _ideal_piece(forms, j, cfg.p, cfg.max_columns, below, sketch)
             prev = j
             pivots = np.zeros(0, np.int64) if acc is None else acc.pivots
             for hf, v in zip(hfs, counts):

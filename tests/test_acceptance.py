@@ -8,6 +8,8 @@ ladder over that grid); together they run in about ten minutes on one CPU.
 """
 
 import dataclasses
+import hashlib
+import json
 import random
 import time
 
@@ -233,11 +235,15 @@ def test_criterion_08_lefschetz_ladder_over_the_grid():
     """wlp_consequence_check over every criterion-4 cell with 2l > n at
     the documented 4000-column budget: no executed level mismatches.  A
     mismatch on a conjectural cell would be reported as a finding without
-    failing the suite; proven cells must pass."""
+    failing the suite; proven cells must pass.  The JSON of all 528
+    results is frozen too, so the observed values, trials used and skip
+    reasons cannot move; the digest was taken before blocks were
+    sketched."""
     start = time.perf_counter()
     cfg = PrimeFieldConfig(trials=2, seed=0, max_columns=4000)
     cells = executed = skipped = 0
     findings = []
+    results = []
     for n in range(3, 7):
         for l in range(2, 6):
             if 2 * l <= n:
@@ -246,6 +252,7 @@ def test_criterion_08_lefschetz_ladder_over_the_grid():
                 for part in enumerate_partitions(d, 2, 4):
                     inst = ProblemInstance(n, l, part)
                     res = wlp_consequence_check(inst, cfg)
+                    results.append(res.to_json())
                     cells += 1
                     executed += sum(1 for lv in res.levels
                                     if not lv.skipped_reason)
@@ -262,6 +269,10 @@ def test_criterion_08_lefschetz_ladder_over_the_grid():
     conjectural = [d for s, d in findings if s != "proven"]
     assert conjectural == [], \
         f"findings (conjectural cells, reported not fatal): {conjectural}"
+    assert cells == 528
+    doc = json.dumps(results, sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "4cd90a75f5d66eb631ffdde698fd2cf5039f8c151b53a7eeed6583f6f3cf1894")
 
     elapsed = time.perf_counter() - start
     _verdict(8, f"{cells} cells, {executed} ladder levels executed, "

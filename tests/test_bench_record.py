@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -125,3 +126,37 @@ def test_main_writes_the_file(tmp_path, monkeypatch):
     assert list(doc["workloads"]["ladder"]["metrics"]) == ["wall_s"]
     assert doc["workloads"]["ladder"]["metrics"]["wall_s"]["pairs_won"] == {
         "parent": 0, "change": 1}
+
+
+def test_a_run_that_times_out_is_recorded_as_an_error(monkeypatch):
+    """subprocess.run is patched, so no process starts: the second run
+    overruns, and every other pair is still measured and summarized."""
+    calls = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        calls.append((Path(cwd).name, kwargs["timeout"]))
+        if len(calls) == 2:
+            raise subprocess.TimeoutExpired(cmd, kwargs["timeout"], output=b"",
+                                            stderr=b"still ranking")
+        wall = 1.0 if Path(cwd).name == "parent" else 0.5
+        return subprocess.CompletedProcess(
+            cmd, 0, stdout="log line\n" + json.dumps(result_line(wall, 10)) + "\n",
+            stderr="")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    assert bench_record.run_benchmark(Path("/x/parent"), ["--seed", "1"]) == \
+        result_line(1.0, 10)
+    assert bench_record.run_benchmark(Path("/x/change"), ["--seed", "1"]) == {
+        "error": f"timeout after {bench_record.RUN_TIMEOUT_S} s",
+        "stderr": "still ranking"}
+    assert calls == [("parent", bench_record.RUN_TIMEOUT_S),
+                     ("change", bench_record.RUN_TIMEOUT_S)]
+    calls.clear()
+    doc = bench_record.record(CHECKOUTS, ["ladder"], [1, 2, 3], 5, METRICS,
+                              run=bench_record.run_benchmark, describe=describe())
+    runs = doc["workloads"]["ladder"]["runs"]
+    assert len(calls) == len(runs) == 6
+    assert runs[1]["result"]["error"].startswith("timeout")
+    wall = doc["workloads"]["ladder"]["metrics"]["wall_s"]
+    assert wall["pairs_won"] == {"parent": 0, "change": 2}
+    assert wall["parent"]["runs"] == 3 and wall["change"]["runs"] == 2

@@ -43,6 +43,7 @@ from redsecant.oracle import (
 from redsecant.oracle import forms, modmat, runs
 from redsecant.oracle.modmat import _CHUNK, _LEAF, P_LIMIT
 from redsecant.predictor import predict
+from redsecant.workbench import SweepConfig, sweep
 from redsecant.series import (
     TruncatedSeries,
     expand_rational,
@@ -780,6 +781,126 @@ class TestIdealPieceRank:
             ideal_piece_rank([f], 6, P_TEST, max_columns=10)
 
 
+class TestSketchedBlocks:
+    """Blocks of a piece built on the degree below are fed as random
+    combinations of their rows first (_feed_sketched)."""
+
+    NCOLS, HELD, ROWS = 150, 40, 100
+
+    @classmethod
+    def _block(cls, p, t, rows=ROWS):
+        """Rows spanning cls.HELD dimensions, and a block of random
+        combinations of those and of t more, with a unit at scattered
+        leads so that the ranks are known exactly at every p."""
+        rng = np.random.default_rng([p, t, rows])
+        gens = rng.integers(0, p, size=(cls.HELD + t, cls.NCOLS), dtype=np.int64)
+        leads = np.sort(rng.choice(cls.NCOLS, cls.HELD + t, replace=False))
+        for i, c in enumerate(leads):
+            gens[i, :c] = 0
+            gens[i, c] = 1
+        held = gens[rng.permutation(cls.HELD)]
+        mix = rng.integers(0, p, size=(rows, cls.HELD + t), dtype=np.int64)
+        block = matmul_mod(mix, gens, p)
+        assert rank_of(held, p) == cls.HELD
+        assert rank_of(np.vstack([held, block]), p) == cls.HELD + t
+        return held, block
+
+    @staticmethod
+    def _same_echelon(acc, exact):
+        """The same pivots and reduced basis; the row order is the order
+        the pivots were found in, which a sketch may change."""
+        a, b = np.argsort(acc.pivots), np.argsort(exact.pivots)
+        return (np.array_equal(acc.pivots[a], exact.pivots[b])
+                and np.array_equal(acc.basis[a], exact.basis[b]))
+
+    @staticmethod
+    def _feed(held, block, p, rng):
+        """The sketched accumulator, the unsketched one, and the size of
+        every block the sketched one was fed after the held rows."""
+        acc, exact = RankAccumulator(held.shape[1], p), RankAccumulator(held.shape[1], p)
+        acc.add_rows(held)
+        exact.add_rows(held)
+        exact.add_rows(block)
+        with mock.patch.object(RankAccumulator, "add_rows", autospec=True,
+                               side_effect=RankAccumulator.add_rows) as spy:
+            runs._feed_sketched(acc, lambda: rng, block)
+        return acc, exact, [c.args[1].shape[0] for c in spy.call_args_list]
+
+    @pytest.mark.parametrize("p", [7, 10007, P_MAX])
+    @pytest.mark.parametrize("t", [0, 1, 13, 24, 25, 28, 32, 33, 60])
+    def test_sketch_is_accepted_only_below_the_margin(self, p, t):
+        """t <= 24 new dimensions: the 32 combinations are the block's
+        only rows.  24 < t <= 32 (the fallback band) and t > 32: the
+        combinations gain more than 24 pivots, so the block is fed too.
+        Either way the rank is that of the stacked rows and the pivots and
+        reduced basis are the unsketched accumulator's."""
+        held, block = self._block(p, t)
+        acc, exact, fed = self._feed(held, block, p, np.random.default_rng(t))
+        k = runs._SKETCH_ROWS
+        assert fed == ([k] if t <= k - runs._SKETCH_MARGIN else [k, self.ROWS])
+        assert acc.rank == rank_of(np.vstack([held, block]), p) == exact.rank
+        assert self._same_echelon(acc, exact)
+
+    @pytest.mark.parametrize("p", [7, 10007, P_MAX])
+    def test_blocks_up_to_the_threshold_are_fed_as_they_are(self, p):
+        rows = runs._SKETCH_MIN_ROWS
+        for size, fed_want in ((rows, [rows]), (rows + 1, [runs._SKETCH_ROWS])):
+            held, block = self._block(p, 5, rows=size)
+            acc, exact, fed = self._feed(held, block, p, np.random.default_rng(0))
+            assert fed == fed_want
+            assert self._same_echelon(acc, exact)
+
+    @pytest.mark.parametrize("p", [7, 10007, P_MAX])
+    def test_the_sketch_is_the_trials_own_stream(self, p, monkeypatch):
+        """A full-Hilbert run draws each trial's sketches, in order, from
+        _rng(seed, _TAG_SKETCH, trial), made once per trial, and no other
+        stream draws a sketch."""
+        streams, products = [], []
+        rng, mm = runs._rng, runs.matmul_mod
+
+        def record_rng(*path):
+            streams.append(path)
+            return rng(*path)
+
+        def record_mm(a, b, q):
+            products.append(np.array(a))
+            return mm(a, b, q)
+
+        monkeypatch.setattr(runs, "_rng", record_rng)
+        monkeypatch.setattr(runs, "matmul_mod", record_mm)
+        cfg = PrimeFieldConfig(p=p, trials=2, seed=31)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            oracle_run(inst(4, 3, [3, 2, 2]), cfg, want_hilbert=True)
+        sketch_streams = [s for s in streams if s[1] == runs._TAG_SKETCH]
+        assert sketch_streams == [(31, runs._TAG_SKETCH, 0), (31, runs._TAG_SKETCH, 1)]
+        # one sketched block per trial here, each 32 x 66
+        want = [rng(31, runs._TAG_SKETCH, t).integers(0, p, size=s.shape)
+                for t, s in enumerate(products)]
+        assert [s.shape for s in products] == [(runs._SKETCH_ROWS, 66)] * 2
+        assert all(np.array_equal(a, b) for a, b in zip(products, want))
+
+    def test_degree_d_runs_never_sketch(self, monkeypatch):
+        """oracle_run at degree d alone and a sweep feed the rank kernel
+        exactly the rows they fed before sketches existed: no sketch stream
+        is made.  The same instance with want_hilbert does sketch."""
+        tags = []
+        rng = runs._rng
+
+        def record(seed, tag, *path):
+            tags.append(tag)
+            return rng(seed, tag, *path)
+
+        monkeypatch.setattr(runs, "_rng", record)
+        cfg = PrimeFieldConfig(trials=2, seed=31)
+        oracle_run(inst(4, 3, [3, 2, 2]), cfg)
+        sweep(SweepConfig(n_range=(4, 4), l_range=(3, 3), d_max=7, r_max=3,
+                          oracle=cfg, workers=1))
+        assert set(tags) == {runs._TAG_ORACLE}
+        oracle_run(inst(4, 3, [3, 2, 2]), cfg, want_hilbert=True)
+        assert runs._TAG_SKETCH in tags
+
+
 class TestOracleRuns:
     def test_worked_six_variable_case(self):
         run = oracle_run(inst(4, 3, [3, 2, 2]), PrimeFieldConfig(trials=2))
@@ -1128,19 +1249,25 @@ class TestFrozenFullHilbert:
         elimination path, one at the largest admitted prime) and of the
         generic-forms comparison; the sweep CSV digests only see degree d.
         The digest was taken before the Terracini rows were gathered from
-        cached index tables."""
+        cached index tables, and before blocks were sketched; the ladders
+        run afresh, and some of their blocks and of the runs' are."""
+        runs._ladder.cache_clear()
         cfg = PrimeFieldConfig(trials=2, seed=31)
-        ladders = [wlp_consequence_check(inst(4, 3, part.parts), cfg).to_json()
-                   for d in range(2, 6) for part in enumerate_partitions(d, 2, 4)]
         big_p = PrimeFieldConfig(p=P_MAX, trials=2, seed=31)
-        hilbert_runs = [
-            oracle_run(inst(n, l, parts), c, want_hilbert=True).to_json()
-            for n, l, parts, c in ((3, 2, [2, 2], cfg), (4, 2, [3, 1], cfg),
-                                   (5, 2, [2, 2, 1], cfg), (4, 3, [3, 2, 2], cfg),
-                                   (3, 3, [3, 2, 1, 1], cfg), (4, 2, [3, 2], big_p))
-        ]
+        with mock.patch.object(runs, "_feed_sketched", wraps=runs._feed_sketched) as fed:
+            ladders = [wlp_consequence_check(inst(4, 3, part.parts), cfg).to_json()
+                       for d in range(2, 6) for part in enumerate_partitions(d, 2, 4)]
+            hilbert_runs = [
+                oracle_run(inst(n, l, parts), c, want_hilbert=True).to_json()
+                for n, l, parts, c in ((3, 2, [2, 2], cfg), (4, 2, [3, 1], cfg),
+                                       (5, 2, [2, 2, 1], cfg), (4, 3, [3, 2, 2], cfg),
+                                       (3, 3, [3, 2, 1, 1], cfg), (4, 2, [3, 2], big_p))
+            ]
+            froeberg = froeberg_oracle_r2(4, 2, 2, 5, cfg).to_json()
+        sketched = sum(c.args[2].shape[0] > runs._SKETCH_MIN_ROWS
+                       for c in fed.call_args_list)
+        assert sketched >= 1
         assert hilbert_runs[1]["eliminated"]
-        froeberg = froeberg_oracle_r2(4, 2, 2, 5, cfg).to_json()
         doc = json.dumps({"ladders": ladders, "runs": hilbert_runs,
                           "froeberg": froeberg}, sort_keys=True)
         assert hashlib.sha256(doc.encode()).hexdigest() == (

@@ -36,10 +36,19 @@ RUN_TIMEOUT_S = 600
 
 def run_benchmark(checkout: Path, args: Sequence[str]) -> dict:
     """One perfbench/run.py process in checkout: its result line, or the
-    exit code and the end of its stderr when it printed none."""
-    proc = subprocess.run([sys.executable, "perfbench/run.py", *args],
-                          cwd=checkout, capture_output=True, text=True,
-                          timeout=RUN_TIMEOUT_S)
+    exit code and the end of its stderr when it printed none.  A run that
+    overruns RUN_TIMEOUT_S is killed and recorded as an error too, so the
+    pairs measured before it are kept."""
+    try:
+        proc = subprocess.run([sys.executable, "perfbench/run.py", *args],
+                              cwd=checkout, capture_output=True, text=True,
+                              timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired as exc:
+        # the output read before the kill, as bytes on POSIX
+        stderr = exc.stderr or ""
+        if isinstance(stderr, bytes):
+            stderr = stderr.decode(errors="replace")
+        return {"error": f"timeout after {RUN_TIMEOUT_S} s", "stderr": stderr[-2000:]}
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         return {"error": f"exit {proc.returncode}", "stderr": proc.stderr[-2000:]}

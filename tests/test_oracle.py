@@ -43,7 +43,6 @@ from redsecant.oracle import (
 from redsecant.oracle import forms, modmat, runs
 from redsecant.oracle.modmat import _CHUNK, _LEAF, P_LIMIT
 from redsecant.predictor import predict
-from redsecant.workbench import SweepConfig, sweep
 from redsecant.series import (
     TruncatedSeries,
     expand_rational,
@@ -51,6 +50,7 @@ from redsecant.series import (
     reducible_numerator,
     series_pow,
 )
+from redsecant.workbench import SweepConfig, sweep
 
 P_TEST = 1_000_003
 # The largest prime below P_LIMIT: every float64 product takes the split path.
@@ -874,16 +874,15 @@ class TestSketchedBlocks:
             oracle_run(inst(4, 3, [3, 2, 2]), cfg, want_hilbert=True)
         sketch_streams = [s for s in streams if s[1] == runs._TAG_SKETCH]
         assert sketch_streams == [(31, runs._TAG_SKETCH, 0), (31, runs._TAG_SKETCH, 1)]
-        # one sketched block per trial here, each 32 x 66
+        assert [s.shape for s in products] == [(runs._SKETCH_ROWS, 66)] * 2
         want = [rng(31, runs._TAG_SKETCH, t).integers(0, p, size=s.shape)
                 for t, s in enumerate(products)]
-        assert [s.shape for s in products] == [(runs._SKETCH_ROWS, 66)] * 2
         assert all(np.array_equal(a, b) for a, b in zip(products, want))
 
     def test_degree_d_runs_never_sketch(self, monkeypatch):
         """oracle_run at degree d alone and a sweep feed the rank kernel
-        exactly the rows they fed before sketches existed: no sketch stream
-        is made.  The same instance with want_hilbert does sketch."""
+        their rows as they are: no sketch stream is made.  The same
+        instance with want_hilbert does sketch."""
         tags = []
         rng = runs._rng
 
@@ -1249,8 +1248,9 @@ class TestFrozenFullHilbert:
         elimination path, one at the largest admitted prime) and of the
         generic-forms comparison; the sweep CSV digests only see degree d.
         The digest was taken before the Terracini rows were gathered from
-        cached index tables, and before blocks were sketched; the ladders
-        run afresh, and some of their blocks and of the runs' are."""
+        cached index tables, and before blocks were sketched.  The ladder
+        cache is cleared so that the ladders run here, and some blocks of
+        these runs are sketched, so the digest gates that path too."""
         runs._ladder.cache_clear()
         cfg = PrimeFieldConfig(trials=2, seed=31)
         big_p = PrimeFieldConfig(p=P_MAX, trials=2, seed=31)

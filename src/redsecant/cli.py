@@ -132,13 +132,14 @@ def _oracle_config(args) -> PrimeFieldConfig:
 
 
 def _add_oracle_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--prime", type=int, default=1_000_003,
+    defaults = PrimeFieldConfig()
+    sub.add_argument("--prime", type=int, default=defaults.p,
                      help="odd prime modulus for the rank computations")
-    sub.add_argument("--trials", type=int, default=3,
+    sub.add_argument("--trials", type=int, default=defaults.trials,
                      help="independent sample points per rank (max wins)")
-    sub.add_argument("--seed", type=int, default=0,
+    sub.add_argument("--seed", type=int, default=defaults.seed,
                      help="base seed; everything downstream derives from it")
-    sub.add_argument("--max-columns", type=int, default=250_000,
+    sub.add_argument("--max-columns", type=int, default=defaults.max_columns,
                      help="refuse matrices wider than this many monomials")
 
 

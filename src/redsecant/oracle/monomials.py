@@ -105,6 +105,20 @@ def unrank_exponent(n: int, d: int, rank: int) -> tuple[int, ...]:
 _TABLE_LIMIT = 80_000_000
 
 
+class ResourceGuardExceeded(RuntimeError):
+    """A run refused to build a matrix wider than its column guard, or a
+    multiplication table with more than _TABLE_LIMIT entries."""
+
+    def __init__(self, size: int, bound: int, context: str,
+                 what: str = "matrix", unit: str = "columns"):
+        super().__init__(
+            f"{context}: {what} would have {size} {unit}, guard is {bound}"
+        )
+        self.size = size
+        self.bound = bound
+        self.context = context
+
+
 @lru_cache(maxsize=256)
 def mul_table(n: int, a: int, b: int) -> np.ndarray:
     """mul_table(n, a, b)[i, j] = rank of exponents(n,a)[i] + exponents(n,b)[j].
@@ -112,17 +126,15 @@ def mul_table(n: int, a: int, b: int) -> np.ndarray:
     Dense, cached and read-only.  Row i lists, in the order of
     exponents(n, b), the columns that x^exponents(n,a)[i] * G occupies for
     any degree-b form G: form products scatter through it and Terracini
-    rows are gathered from it.  Shapes above _TABLE_LIMIT entries are
-    refused with ValueError; ideal_piece_rank asks only for much smaller
-    tables and takes the rows of larger shapes from table_rows, block by
-    block.
+    rows are gathered from it.  Shapes above _TABLE_LIMIT entries raise
+    ResourceGuardExceeded before anything is built; ideal_piece_rank asks
+    only for much smaller tables and takes the rows of larger shapes from
+    table_rows, block by block.
     """
     rows = grade_size(n, a)
     if rows * grade_size(n, b) > _TABLE_LIMIT:
-        raise ValueError(
-            f"mul_table({n}, {a}, {b}) would hold "
-            f"{rows * grade_size(n, b)} entries; stream instead"
-        )
+        raise ResourceGuardExceeded(rows * grade_size(n, b), _TABLE_LIMIT,
+                                    f"mul_table({n}, {a}, {b})", "table", "entries")
     out = table_rows(n, a, b, 0, rows)
     out.flags.writeable = False
     return out

@@ -9,10 +9,13 @@ certified lower bound.  A trial misses the generic rank R only if some
 nonzero R x R minor vanishes at its random coefficients.  Each tangent
 generator is a product of r - 1 random factors, so the matrix entries have
 degree r - 1 in those coefficients and the minor has degree R(r - 1); by
-Schwartz-Zippel a trial fails with probability at most R(r - 1)/p.  The
-elimination path has the same ranks as the naive one, so the same bound
-holds there.  froeberg_oracle_r2 ranks plain random forms, whose entries
-are linear, so its bound is R/p.  A run over several degrees fails if any
+Schwartz-Zippel a trial fails with probability at most R(r - 1)/p.  For
+[d-1, 1] and [1, 1], oracle_run takes the linear factors to be
+coordinates and samples the other factors in the variables left (see
+oracle_run): a specialization with the same generic rank, whose entries
+are linear in what it samples, so the same bound holds there.
+froeberg_oracle_r2 ranks plain random forms, whose entries are linear,
+so its bound is R/p.  A run over several degrees fails if any
 degree does, so its bound is the sum over those degrees.  Taking R at most
 the column count, oracle_run, the ladder and froeberg_oracle_r2 warn once
 per run when that sum reaches 1.  A ladder level's matrix is a projection
@@ -78,9 +81,9 @@ import numpy as np
 from ..combinatorics import ProblemInstance, expected_dim
 from ..series import expand_rational, plus_truncate, predicted_hilbert
 from ..series import reducible_numerator, series_pow
-from .forms import HomogeneousForm, eliminate_linear, random_form, tangent_generators
+from .forms import HomogeneousForm, random_form, tangent_generators
 from .modmat import P_LIMIT, RankAccumulator, matmul_mod
-from .monomials import grade_size, mul_table, table_rows
+from .monomials import ResourceGuardExceeded, grade_size, mul_table, table_rows
 
 # Entries in one block of rows handed to the rank kernel.
 _BATCH_ENTRIES = 250_000
@@ -148,18 +151,6 @@ class PrimeFieldConfig:
             raise ValueError(f"need a nonnegative seed, got {self.seed}")
         if self.max_columns < 1:
             raise ValueError(f"need max_columns >= 1, got {self.max_columns}")
-
-
-class ResourceGuardExceeded(RuntimeError):
-    """A run refused to build a matrix wider than the configured bound."""
-
-    def __init__(self, columns: int, bound: int, context: str):
-        super().__init__(
-            f"{context}: matrix would have {columns} columns, guard is {bound}"
-        )
-        self.columns = columns
-        self.bound = bound
-        self.context = context
 
 
 # Fixed namespaces so the derived random streams of distinct run kinds never
@@ -432,7 +423,7 @@ def _levels_over_trials(sample: Callable[[int], tuple], degrees: Sequence[int],
         acc, prev = None, None
         for j in degrees:
             below = acc if prev == j - 1 else None
-            acc = _ideal_piece(forms, j, cfg.p, cfg.max_columns, below, sketch)
+            acc = _ideal_piece(forms, j, cfg.p, below=below, sketch=sketch)
             prev = j
             pivots = np.zeros(0, np.int64) if acc is None else acc.pivots
             for hf, v in zip(hfs, counts):
@@ -472,7 +463,10 @@ class OracleRun:
     trial_ranks holds the degree-d rank of each trial so a lucky
     degeneration stays visible; hilbert (when requested) is the quotient
     Hilbert function j -> C(j+n-1, n-1) - rank_j for j = 0..d, with each
-    rank_j maximized over trials separately.
+    rank_j maximized over trials separately.  columns is the width of the
+    degree-d matrix the run ranked.  eliminated says the linear generators
+    were left out of it: the run sampled [d-1, 1] or [1, 1] points in the
+    variables their linear factors leave (see oracle_run).
     """
 
     instance: ProblemInstance
@@ -505,10 +499,17 @@ def oracle_run(inst: ProblemInstance, cfg: PrimeFieldConfig,
                want_hilbert: bool = False) -> OracleRun:
     """Sample l random points per trial and rank their joint tangent ideal.
 
-    When the partition provides linear generators they are removed exactly
-    once per trial: modulo their span the ring has new_n variables, and
-    the Hilbert function of the quotient is that of the remaining
-    generators' images there, so the run works in fewer variables.
+    For [d-1, 1] each point's tangent ideal holds its linear factor, and
+    for [1, 1] both.  The run takes those factors to be the coordinates
+    x_{n-1}, x_{n-2}, ...: modulo them the ring has n_vars = n - l
+    variables (n - 2l for [1, 1]), and the other generators are the
+    points' degree-(d-1) factors there, which it samples directly, as
+    uniform forms in n_vars variables.  Those are a specialization of
+    the uniform factors in n variables, so each rank stays a certified
+    lower bound with the same failure bound, and since GL_n moves any
+    independent linear forms to those coordinates the generic rank is
+    unchanged.  One guard, on the width of the degree-d piece in n_vars
+    variables, is checked before anything is sampled.
     """
     n, l = inst.n, inst.l
     part = inst.partition
@@ -517,33 +518,22 @@ def oracle_run(inst: ProblemInstance, cfg: PrimeFieldConfig,
     d = part.d
     big_n = grade_size(n, d)
     elim = _use_elimination(part)
-
-    if elim:
-        n_linear = sum(1 for e in part.parts if e == part.d - 1) * l
-        effective = grade_size(max(0, n - min(n, n_linear)), d)
-    else:
-        effective = big_n
-    # The factors are sampled in all n variables before any elimination,
-    # so the widest of them counts against the guard too.
-    widest = max(effective, grade_size(n, part.parts[0]))
-    if widest > cfg.max_columns:
-        raise ResourceGuardExceeded(widest, cfg.max_columns,
+    n_vars = max(0, n - (2 * l if d == 2 else l)) if elim else n
+    columns = grade_size(n_vars, d)
+    if columns > cfg.max_columns:
+        raise ResourceGuardExceeded(columns, cfg.max_columns,
                                     f"oracle run for {inst}")
 
     def sample(trial: int):
-        forms = [g for point in range(l)
-                 for g in _point_generators(n, part.parts, cfg.p, cfg.seed,
-                                            _TAG_ORACLE, trial, point)]
         if not elim:
-            return n, forms
-        new_n, reduced = eliminate_linear(
-            [g for g in forms if g.degree == 1],
-            [g for g in forms if g.degree > 1], cfg.p)
-        small = grade_size(new_n, d)
-        if small > cfg.max_columns:
-            raise ResourceGuardExceeded(small, cfg.max_columns,
-                                        f"degree-{d} piece after elimination")
-        return new_n, reduced
+            return n, [g for point in range(l)
+                       for g in _point_generators(n, part.parts, cfg.p, cfg.seed,
+                                                  _TAG_ORACLE, trial, point)]
+        if d == 2 or n_vars == 0:
+            return n_vars, []
+        return n_vars, [random_form(n_vars, d - 1, cfg.p,
+                                    _rng(cfg.seed, _TAG_ORACLE, n, trial, point, 0))
+                        for point in range(l)]
 
     degrees = range(d + 1) if want_hilbert else [d]
     _warn_failure_bound(sum(grade_size(n, j) for j in degrees), part.r - 1, cfg.p)
@@ -569,7 +559,7 @@ def oracle_run(inst: ProblemInstance, cfg: PrimeFieldConfig,
         secant_dim=secant_dim,
         codim=big_n - max_rank,
         fills=max_rank == big_n,
-        columns=effective,
+        columns=columns,
         eliminated=elim,
         hilbert=best if want_hilbert else None,
     )

@@ -150,27 +150,15 @@ class SweepRow:
     finding: Optional[str] = None
 
     def csv_record(self) -> dict:
-        rep = self.prediction
-        inst = rep.instance
-        part = inst.partition
+        """The CSV row: the prediction's JSON fields n through citation,
+        with fills as "true"/"false", between the family and the oracle."""
+        prediction = self.prediction.to_json()
+        del prediction["a_seq"], prediction["errata"]
+        prediction["fills"] = str(prediction["fills"]).lower()
         run = self.oracle
         return {
             "family": self.family,
-            "n": inst.n,
-            "l": inst.l,
-            "partition": part.text(),
-            "d": part.d,
-            "r": part.r,
-            "s": part.s,
-            "N": inst.N,
-            "dimX": rep.dim_x,
-            "expected": rep.expected_dim,
-            "predicted": rep.predicted_dim,
-            "fills": str(rep.fills).lower(),
-            "defect": rep.defect,
-            "epsilon": rep.epsilon,
-            "status": rep.status,
-            "citation": rep.citation,
+            **prediction,
             "oracle_dim": "" if run is None else run.secant_dim,
             "agree": "" if self.agree is None else str(self.agree).lower(),
             "skipped_reason": self.skipped_reason or "",

@@ -61,6 +61,27 @@ def inst(n, l, parts):
     return ProblemInstance(n, l, Partition(parts))
 
 
+def same_points(n, l, parts, cfg, trial):
+    """The tangent-ideal generators, in all n variables, of the points a
+    [d-1, 1] or [1, 1] oracle run samples at trial: the linear factors are
+    x_{n-1}, x_{n-2}, ..., and the run's degree-(d-1) forms in the n_vars
+    variables left fill the last colex coefficients, which are the
+    monomials free of the other variables."""
+    d = sum(parts)
+    n_vars = n - min(n, 2 * l if d == 2 else l)
+    gens = [monomial_form(n, np.eye(n, dtype=int)[v], cfg.p)
+            for v in range(n - 1, n_vars - 1, -1)]
+    if d > 2 and n_vars:
+        size = grade_size(n, d - 1)
+        for point in range(l):
+            f = random_form(n_vars, d - 1, cfg.p,
+                            runs._rng(cfg.seed, runs._TAG_ORACLE, n, trial, point, 0))
+            coeffs = np.zeros(size, np.int64)
+            coeffs[size - f.coeffs.size:] = f.coeffs
+            gens.append(HomogeneousForm(n, d - 1, coeffs))
+    return gens
+
+
 class TestMonomialIndexing:
     def test_grade_size(self):
         assert grade_size(3, 4) == 15
@@ -708,9 +729,10 @@ class TestIdealPieceRank:
            st.sampled_from([7, 10007, P_MAX]), st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)
     def test_by_degree_ranks_on_the_elimination_path(self, case, p, seed):
-        """Full-Hilbert runs that remove linear generators first, including
-        runs where they span every variable (new_n = 0), against the
-        naive generators of the same points one degree at a time."""
+        """Full-Hilbert runs in the variables the linear factors leave,
+        including runs where they span every variable (n_vars = 0),
+        against the generators of the same points in all n variables, one
+        degree at a time."""
         n, l, parts = case
         cfg = PrimeFieldConfig(p=p, trials=2, seed=seed)
         with warnings.catch_warnings():
@@ -718,11 +740,10 @@ class TestIdealPieceRank:
             run = oracle_run(inst(n, l, list(parts)), cfg, want_hilbert=True)
             want = None
             for t in range(cfg.trials):
-                naive = [g for point in range(l)
-                         for g in runs._point_generators(n, parts, p, seed,
-                                                         runs._TAG_ORACLE, t, point)]
+                naive = same_points(n, l, parts, cfg, t)
                 hf = tuple(grade_size(n, j) - ideal_piece_rank(naive, j, p)
                            for j in range(sum(parts) + 1))
+                assert run.trial_ranks[t] == grade_size(n, sum(parts)) - hf[-1]
                 want = hf if want is None else tuple(map(min, want, hf))
         assert run.eliminated and run.hilbert == want
 
@@ -918,28 +939,69 @@ class TestOracleRuns:
         assert run.eliminated
 
     def test_elimination_matches_naive_path(self):
-        """Each trial's rank on the elimination path equals the rank of the
-        naive generators of the same points, in all n variables."""
-        cfg = PrimeFieldConfig(trials=2, seed=9)
-        for n, l, parts in ((4, 2, [2, 1]), (3, 2, [3, 1]), (5, 2, [3, 1]),
-                            (3, 2, [1, 1])):
-            run = oracle_run(inst(n, l, parts), cfg)
-            assert run.eliminated
-            for t, rank in enumerate(run.trial_ranks):
-                naive = [g for point in range(l)
-                         for g in runs._point_generators(n, parts, cfg.p, cfg.seed,
-                                                         runs._TAG_ORACLE, t, point)]
-                assert rank == ideal_piece_rank(naive, sum(parts), cfg.p), (n, l, parts, t)
+        """Each trial's rank in the variables the linear factors leave
+        equals the rank of the generators of the same points in all n
+        variables, at small and large primes."""
+        cases = ((4, 2, [2, 1]), (3, 2, [3, 1]), (5, 2, [3, 1]),
+                 (3, 2, [1, 1]), (5, 2, [1, 1]), (3, 4, [2, 1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for p in (7, 10007, P_MAX):
+                cfg = PrimeFieldConfig(p=p, trials=2, seed=9)
+                for n, l, parts in cases:
+                    run = oracle_run(inst(n, l, parts), cfg)
+                    assert run.eliminated
+                    for t, rank in enumerate(run.trial_ranks):
+                        naive = same_points(n, l, parts, cfg, t)
+                        assert rank == ideal_piece_rank(naive, sum(parts), p), \
+                            (p, n, l, parts, t)
 
-    def test_full_hilbert_eliminates_once_per_trial(self, monkeypatch):
+    def test_full_hilbert_samples_l_forms_per_trial(self, monkeypatch):
+        """A [3, 1] run with l = 2 in 4 variables samples two cubics per
+        trial, each in the 2 variables the linear factors leave; modulo
+        those factors, eliminate_linear turns the same points' generators
+        in 4 variables into exactly those cubics."""
         calls = []
-        real = runs.eliminate_linear
-        monkeypatch.setattr(runs, "eliminate_linear",
-                            lambda *a: calls.append(1) or real(*a))
-        run = oracle_run(inst(4, 2, [3, 1]), PrimeFieldConfig(trials=3),
-                         want_hilbert=True)
+        real = runs.random_form
+        monkeypatch.setattr(runs, "random_form",
+                            lambda n, e, *a: calls.append((n, e)) or real(n, e, *a))
+        cfg = PrimeFieldConfig(trials=3)
+        run = oracle_run(inst(4, 2, [3, 1]), cfg, want_hilbert=True)
         assert run.eliminated and len(run.hilbert) == 5
-        assert len(calls) == 3
+        assert calls == [(2, 3)] * 6
+        gens = same_points(4, 2, [3, 1], cfg, 0)
+        new_n, reduced = eliminate_linear(gens[:2], gens[2:], cfg.p)
+        sampled = [real(2, 3, cfg.p, runs._rng(cfg.seed, runs._TAG_ORACLE, 4, 0, point, 0))
+                   for point in range(2)]
+        assert new_n == 2 and len(reduced) == 2
+        assert all(np.array_equal(f.coeffs, g.coeffs) for f, g in zip(reduced, sampled))
+
+    @pytest.mark.parametrize("case", [(4, 2, [3, 1]), (5, 2, [2, 1]), (4, 1, [1, 1]),
+                                      (6, 2, [1, 1]), (3, 3, [2, 1]), (20, 19, [4, 1])])
+    def test_linear_factor_cells_sample_in_the_variables_left(self, case, monkeypatch):
+        """On [d-1, 1] and [1, 1] cells no tangent generator is built, no
+        linear form is eliminated, and every form is sampled in the
+        n_vars variables the linear factors leave: one per point, or none
+        for [1, 1] or when n_vars = 0."""
+        n, l, parts = case
+        n_vars = max(0, n - (2 * l if parts == [1, 1] else l))
+
+        def refuse(*args):
+            raise AssertionError("not on the sampled path")
+
+        sampled = []
+        real = runs.random_form
+        monkeypatch.setattr(runs, "random_form",
+                            lambda v, *a: sampled.append(v) or real(v, *a))
+        for name in ("tangent_generators", "_point_generators"):
+            monkeypatch.setattr(runs, name, refuse)
+        for name in ("eliminate_linear", "substitute_out"):
+            monkeypatch.setattr(forms, name, refuse)
+        run = oracle_run(inst(n, l, parts), PrimeFieldConfig(trials=2),
+                         want_hilbert=True)
+        assert run.eliminated and run.columns == grade_size(n_vars, sum(parts))
+        forms_per_trial = l if parts != [1, 1] and n_vars else 0
+        assert sampled == [n_vars] * (2 * forms_per_trial)
 
     def test_engine_takes_the_minimum_and_stops_at_target(self):
         """A fake sampler whose trial t takes the first t % 3 + 1 of 3
@@ -1065,24 +1127,39 @@ class TestOracleRuns:
         with pytest.raises(ResourceGuardExceeded) as err:
             oracle_run(inst(5, 4, [4, 3]), PrimeFieldConfig(max_columns=10))
         assert "330" in str(err.value)
-        # [4, 1] at n = 20, l = 19 has one column after elimination, but its
-        # quartics have grade_size(20, 4) = 8855 coefficients each, so the
-        # run is refused before any form is sampled.  At n = 6, l = 5 the
-        # cubics have 56 coefficients: a guard of 56 admits the run.
+        # [3, 1] at n = 6, l = 2 samples its cubics in the 4 variables the
+        # linear factors leave, where the degree-4 piece has 35 columns: a
+        # guard of 34 refuses the run before any form is sampled, and a
+        # guard of 35 admits it.
         def refuse(*args):
             raise AssertionError("a form was sampled")
 
         with monkeypatch.context() as m:
             m.setattr(runs, "random_form", refuse)
             with pytest.raises(ResourceGuardExceeded) as err:
-                oracle_run(inst(20, 19, [4, 1]),
-                           PrimeFieldConfig(trials=1, max_columns=1000))
-            assert "8855" in str(err.value)
-            with pytest.raises(ResourceGuardExceeded):
-                oracle_run(inst(6, 5, [3, 1]),
-                           PrimeFieldConfig(trials=1, max_columns=55))
-        run = oracle_run(inst(6, 5, [3, 1]), PrimeFieldConfig(trials=1, max_columns=56))
-        assert run.eliminated and run.columns == 1
+                oracle_run(inst(6, 2, [3, 1]),
+                           PrimeFieldConfig(trials=1, max_columns=34))
+            assert "35 columns" in str(err.value)
+        run = oracle_run(inst(6, 2, [3, 1]), PrimeFieldConfig(trials=1, max_columns=35))
+        assert run.eliminated and run.columns == 35
+        # [4, 1] at n = 20, l = 19 leaves one variable: the run has one
+        # column, and its 19 cubics are sampled in that variable alone.
+        sampled = []
+        real = runs.random_form
+        monkeypatch.setattr(runs, "random_form",
+                            lambda v, *a: sampled.append(v) or real(v, *a))
+        run = oracle_run(inst(20, 19, [4, 1]), PrimeFieldConfig(trials=1, max_columns=1))
+        assert run.eliminated and run.columns == 1 and run.fills
+        assert sampled == [1] * 19
+
+    def test_table_guard_stops_before_the_table(self):
+        """A factor product whose multiplication table would pass
+        _TABLE_LIMIT entries raises the resource guard, naming the table's
+        size, before the table is built."""
+        with pytest.raises(ResourceGuardExceeded, match="517714600 entries"):
+            mul_table(4, 50, 49)
+        with pytest.raises(ResourceGuardExceeded, match=r"mul_table\(4, 50, 49\)"):
+            oracle_run(inst(4, 2, [50, 49, 1]), PrimeFieldConfig(trials=1))
 
 
 class TestWlpConsequence:

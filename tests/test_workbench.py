@@ -388,10 +388,24 @@ class TestCli:
         assert cli.main(["oracle", "--n", "5", "--l", "4", "--partition",
                          "4,3", "--max-columns", "10"]) == 4
         assert "resource guard" in capsys.readouterr().err
-        # one column after elimination, but quartics in 20 variables
+        # [3, 1] points in 6 variables are sampled in the 4 their linear
+        # factors leave, whose degree-4 piece has 35 columns
+        assert cli.main(["oracle", "--n", "6", "--l", "2", "--partition",
+                         "3,1", "--max-columns", "34"]) == 4
+        assert "35 columns" in capsys.readouterr().err
+        assert cli.main(["oracle", "--n", "6", "--l", "2", "--partition",
+                         "3,1", "--max-columns", "35"]) == 0
+        assert "columns=35" in capsys.readouterr().out
+        # [4, 1] points in 20 variables leave one: one column, no quartic
         assert cli.main(["oracle", "--n", "20", "--l", "19", "--partition",
-                         "4,1", "--max-columns", "1000"]) == 4
-        assert "8855" in capsys.readouterr().err
+                         "4,1", "--max-columns", "1000"]) == 0
+        assert "columns=1," in capsys.readouterr().out
+        # the product of the degree-50 and degree-49 factors would gather
+        # through a table of C(53, 3) x C(52, 3) entries
+        assert cli.main(["oracle", "--n", "4", "--l", "2", "--partition",
+                         "50,49,1"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("resource guard:") and "517714600 entries" in err
 
     def test_verify_guard_exits_4(self, capsys):
         assert cli.main(["verify", "--n", "5", "--l", "4", "--partition",

@@ -5,7 +5,7 @@ they print; without -s the per-test PASSED/FAILED markers carry the same
 information.  Budgets are asserted inside the tests.  The heavy items are
 criterion 4 (the full verification grid, swept on a process pool) and
 criterion 8 (the Lefschetz ladder over that grid, in one process); on 2
-CPUs they take about 8 s and 30 s.
+CPUs they take about 8 s and 25 s.
 """
 
 import dataclasses

@@ -180,6 +180,12 @@ def cmd_series(args) -> int:
         series = expand_rational(num, 2 * inst.l, bound)
     else:
         series = predicted_hilbert(inst.n, inst.l, part, bound)
+    limit = sys.get_int_max_str_digits()
+    if limit and max(map(abs, series.coeffs)) >= 10 ** limit:
+        raise ValueError(
+            f"a coefficient through degree {bound} has more than {limit} "
+            f"digits, the interpreter's limit for printing an integer "
+            f"(sys.get_int_max_str_digits()); lower --n, --l or --truncate")
     print(json.dumps(list(series.coeffs)))
     return EXIT_OK
 

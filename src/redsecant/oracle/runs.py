@@ -16,12 +16,12 @@ oracle_run): a specialization with the same generic rank, whose entries
 are linear in what it samples, so the same bound holds there.
 froeberg_oracle_r2 ranks plain random forms, whose entries are linear,
 so its bound is R/p.  A run over several degrees fails if any
-degree does, so its bound is the sum over those degrees.  Taking R at most
-the column count, oracle_run, the ladder and froeberg_oracle_r2 warn once
-per run when that sum reaches 1.  A ladder level's matrix is a projection
-of its top level's, with entries of the same degree, so each level keeps
-its own bound R(r - 1)/p and the ladder warns once, for its top.  No
-closed-form prediction is consulted anywhere in this module.
+degree does, so its bound is the sum over those degrees.  Every run goes
+through one driver, _levels_over_trials, which checks the column guard and
+warns once when that sum, taking R at most the widths of the matrices it
+samples, reaches 1.  A ladder level's matrix is a projection of its top's,
+with entries of the same degree, so each level keeps its own bound
+R(r - 1)/p.  No closed-form prediction is consulted anywhere in this module.
 
 The Terracini columns of degree j are the monomials in reversed colex
 order: colex rank c sits at column grade_size(n, j) - 1 - c.  That order
@@ -184,15 +184,16 @@ def _rng(seed: int, *path: int) -> np.random.Generator:
 def _warn_failure_bound(columns: int, degree: int, p: int) -> None:
     """Warn when a run's per-trial failure bound reaches 1.
 
-    columns is the sum, over the degrees the run ranks, of the matrix
-    widths there, which bound the ranks R; degree is that of the matrix
-    entries in the random coefficients.  The bound is columns * degree / p.
+    columns is the sum, over the degrees the run ranks, of the widths of
+    the matrices it samples there, which bound the ranks R; degree is that
+    of the matrix entries in the random coefficients.  The bound is
+    columns * degree / p.  The warning names the line that called the run.
     """
     if columns * degree >= p:
         warnings.warn(
             f"per-trial failure bound {columns} x {degree} / p is at least 1 "
             f"at p={p}; a trial's rank certifies nothing",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -215,9 +216,14 @@ def ideal_piece_rank(generators: Sequence[HomogeneousForm], j: int, p: int,
     contribute nothing.  The rows actually fed to the rank kernel are
     fewer (see _ideal_piece), and they are stacked into blocks of at most
     _BATCH_ENTRIES entries, so the kernel sees few large blocks while peak
-    memory stays flat.
+    memory stays flat.  With max_columns given, a piece wider than that
+    raises ResourceGuardExceeded before any row is built.
     """
-    acc = _ideal_piece(generators, j, p, max_columns)
+    if max_columns is not None and generators:
+        ncols = grade_size(generators[0].n, j)
+        if ncols > max_columns:
+            raise ResourceGuardExceeded(ncols, max_columns, f"degree-{j} piece")
+    acc = _ideal_piece(generators, j, p)
     return 0 if acc is None else acc.rank
 
 
@@ -271,7 +277,6 @@ def _feed_sketched(acc: RankAccumulator, sketch: Callable[[], np.random.Generato
 
 
 def _ideal_piece(generators: Sequence[HomogeneousForm], j: int, p: int,
-                 max_columns: Optional[int] = None,
                  below: Optional[RankAccumulator] = None,
                  sketch: Optional[Callable[[], np.random.Generator]] = None
                  ) -> Optional[RankAccumulator]:
@@ -318,8 +323,6 @@ def _ideal_piece(generators: Sequence[HomogeneousForm], j: int, p: int,
     if any(g.n != n for g in usable):
         raise ValueError("generators live in different variable counts")
     ncols = grade_size(n, j)
-    if max_columns is not None and ncols > max_columns:
-        raise ResourceGuardExceeded(ncols, max_columns, f"degree-{j} piece")
     e0 = min(g.degree for g in usable)
     # (first row, end row, rows(lo, hi) -> their columns and values)
     sources: list[tuple[int, int, Callable]] = []
@@ -367,44 +370,32 @@ def _ideal_piece(generators: Sequence[HomogeneousForm], j: int, p: int,
     return acc
 
 
-def _hilbert_over_trials(sample: Callable[[int], tuple], degrees: Sequence[int],
-                         cfg: PrimeFieldConfig,
-                         target: Optional[tuple[int, ...]] = None):
-    """Hilbert function of sampled ideals at the given degrees, minimized
-    over trials.
-
-    sample(trial) returns (n_vars, forms); the trial's value at degree j is
-    grade_size(n_vars, j) minus the rank of the degree-j piece of the
-    ideal.  Trials stop once the minimum equals target.  Returns the
-    minimum and the Hilbert function of each trial run; this is
-    _levels_over_trials with the one level n_vars.
-    """
-    def one_level(trial: int):
-        n_vars, forms = sample(trial)
-        return (n_vars,), forms
-
-    (best,), _, per_trial = _levels_over_trials(one_level, degrees, cfg, (target,))
-    return best, [hf for hf, in per_trial]
-
-
-def _levels_over_trials(sample: Callable[[int], tuple], degrees: Sequence[int],
+def _levels_over_trials(sample: Callable[[int], Sequence[HomogeneousForm]],
+                        counts: Sequence[int], degrees: Sequence[int],
+                        entry_degree: int, context: str,
                         cfg: PrimeFieldConfig, targets: Sequence):
     """Hilbert functions of sampled ideals and of their restrictions,
-    minimized over trials, one per level.
+    minimized over trials, one per level: the one run driver of this
+    module.
 
-    sample(trial) returns (counts, forms), the forms in counts[0]
-    variables.  Level i is the ideal with the variables from x_{counts[i]}
-    on set to zero, and its value at degree j is grade_size(counts[i], j)
-    minus the rank of its degree-j piece.  That piece is the projection
-    of the ideal's degree-j piece onto the monomials free of those
-    variables, which in reversed colex are the first
-    grade_size(counts[i], j) columns (see _ideal_piece); a reduced echelon
-    basis projects onto a column prefix with rank the number of its
-    pivots inside it.  So every level is read off one echelon per degree,
-    and level 0 takes all its pivots, the rank.  Where degree j - 1 was
-    asked for just before j, the degree-j piece is built on the one below,
-    and its large blocks are sketched by the trial's stream
-    _rng(seed, _TAG_SKETCH, trial), made at its first use.
+    sample(trial) returns the trial's forms, in counts[0] variables.
+    Level i is the ideal with the variables from x_{counts[i]} on set to
+    zero, and its value at degree j is grade_size(counts[i], j) minus the
+    rank of its degree-j piece.  That piece is the projection of the
+    ideal's degree-j piece onto the monomials free of those variables,
+    which in reversed colex are the first grade_size(counts[i], j)
+    columns (see _ideal_piece); a reduced echelon basis projects onto a
+    column prefix with rank the number of its pivots inside it.  So every
+    level is read off one echelon per degree, and level 0 takes all its
+    pivots, the rank.  Where degree j - 1 was asked for just before j, the
+    degree-j piece is built on the one below, and its large blocks are
+    sketched by the trial's stream _rng(seed, _TAG_SKETCH, trial), made at
+    its first use.
+
+    Before the first trial, a top piece wider than cfg.max_columns raises
+    ResourceGuardExceeded naming context, and the run warns once if the
+    failure bound of the matrices it samples, whose entries have degree
+    entry_degree in the random coefficients, reaches 1.
 
     A random specialization can only have smaller ranks, hence larger
     values, than the generic ideal, so each level's minimum over trials is
@@ -413,11 +404,16 @@ def _levels_over_trials(sample: Callable[[int], tuple], degrees: Sequence[int],
     trials stop once every level has.  Returns each level's minimum, each
     level's trials used and, per trial run, every level's Hilbert function.
     """
+    columns = grade_size(counts[0], max(degrees))
+    if columns > cfg.max_columns:
+        raise ResourceGuardExceeded(columns, cfg.max_columns, context)
+    _warn_failure_bound(sum(grade_size(counts[0], j) for j in degrees),
+                        entry_degree, cfg.p)
     best: list = [None] * len(targets)
     used = [0] * len(targets)
     per_trial: list[tuple[tuple[int, ...], ...]] = []
     for trial in range(cfg.trials):
-        counts, forms = sample(trial)
+        forms = sample(trial)
         sketch = functools.cache(functools.partial(_rng, cfg.seed, _TAG_SKETCH, trial))
         hfs: list[list[int]] = [[] for _ in counts]
         acc, prev = None, None
@@ -508,8 +504,9 @@ def oracle_run(inst: ProblemInstance, cfg: PrimeFieldConfig,
     the uniform factors in n variables, so each rank stays a certified
     lower bound with the same failure bound, and since GL_n moves any
     independent linear forms to those coordinates the generic rank is
-    unchanged.  One guard, on the width of the degree-d piece in n_vars
-    variables, is checked before anything is sampled.
+    unchanged.  The column guard and the failure bound are those of the
+    matrices in n_vars variables, checked once before anything is
+    sampled (_levels_over_trials).
     """
     n, l = inst.n, inst.l
     part = inst.partition
@@ -519,26 +516,22 @@ def oracle_run(inst: ProblemInstance, cfg: PrimeFieldConfig,
     big_n = grade_size(n, d)
     elim = _use_elimination(part)
     n_vars = max(0, n - (2 * l if d == 2 else l)) if elim else n
-    columns = grade_size(n_vars, d)
-    if columns > cfg.max_columns:
-        raise ResourceGuardExceeded(columns, cfg.max_columns,
-                                    f"oracle run for {inst}")
 
     def sample(trial: int):
         if not elim:
-            return n, [g for point in range(l)
-                       for g in _point_generators(n, part.parts, cfg.p, cfg.seed,
-                                                  _TAG_ORACLE, trial, point)]
+            return [g for point in range(l)
+                    for g in _point_generators(n, part.parts, cfg.p, cfg.seed,
+                                               _TAG_ORACLE, trial, point)]
         if d == 2 or n_vars == 0:
-            return n_vars, []
-        return n_vars, [random_form(n_vars, d - 1, cfg.p,
-                                    _rng(cfg.seed, _TAG_ORACLE, n, trial, point, 0))
-                        for point in range(l)]
+            return []
+        return [random_form(n_vars, d - 1, cfg.p,
+                            _rng(cfg.seed, _TAG_ORACLE, n, trial, point, 0))
+                for point in range(l)]
 
     degrees = range(d + 1) if want_hilbert else [d]
-    _warn_failure_bound(sum(grade_size(n, j) for j in degrees), part.r - 1, cfg.p)
-    best, per_trial = _hilbert_over_trials(sample, degrees, cfg)
-    trial_ranks = [big_n - hf[-1] for hf in per_trial]
+    (best,), _, per_trial = _levels_over_trials(
+        sample, (n_vars,), degrees, part.r - 1, f"oracle run for {inst}", cfg, (None,))
+    trial_ranks = [big_n - hf[-1] for hf, in per_trial]
     max_rank = big_n - best[-1]
     secant_dim = max_rank - 1
     exp = expected_dim(inst)
@@ -559,7 +552,7 @@ def oracle_run(inst: ProblemInstance, cfg: PrimeFieldConfig,
         secant_dim=secant_dim,
         codim=big_n - max_rank,
         fills=max_rank == big_n,
-        columns=columns,
+        columns=grade_size(n_vars, d),
         eliminated=elim,
         hilbert=best if want_hilbert else None,
     )
@@ -609,9 +602,10 @@ def _ladder(parts: tuple[int, ...], l: int,
     degree-d piece the column guard admits, and reads each rung v <= m off
     its echelons (see _levels_over_trials): setting x_v, ..., x_{m-1} to
     zero turns uniform random factors in m variables into uniform random
-    factors in v.  A rung's matrix is a projection of the top one, so
-    each rung has its own failure bound R(r - 1)/p, and the run warns
-    once, for the top.  Rungs above m are skipped with the reason.
+    factors in v.  The run's column guard and failure bound are those of
+    the top rung (_levels_over_trials), so the guard, which admits m,
+    never trips and the run warns at most once.  Rungs above m are
+    skipped with the reason.
     """
     d = sum(parts)
     rungs: dict[int, WlpLevel] = {}
@@ -633,14 +627,15 @@ def _ladder(parts: tuple[int, ...], l: int,
     if not counts:
         return rungs
     targets = [predicted_hilbert(v, l, parts).coeffs for v in counts]
-    _warn_failure_bound(grade_size(m + 1, d), len(parts) - 1, cfg.p)
 
     def sample(trial: int):
-        return counts, [g for point in range(l)
-                        for g in _point_generators(m, parts, cfg.p, cfg.seed,
-                                                   _TAG_WLP, trial, point)]
+        return [g for point in range(l)
+                for g in _point_generators(m, parts, cfg.p, cfg.seed,
+                                           _TAG_WLP, trial, point)]
 
-    observed, used, _ = _levels_over_trials(sample, range(d + 1), cfg, targets)
+    observed, used, _ = _levels_over_trials(
+        sample, counts, range(d + 1), len(parts) - 1,
+        f"Weak Lefschetz run in {m} variables", cfg, targets)
     for v, target, hf, trials in zip(counts, targets, observed, used):
         rungs[v] = WlpLevel(variables=v, predicted=target, observed=hf,
                             matched=hf == target, trials_used=trials)
@@ -731,17 +726,13 @@ def froeberg_oracle_r2(n: int, l: int, k: int, d: int,
             f"{recursive} vs {series}"
         )
 
-    ncols = grade_size(n, d)
-    if ncols > cfg.max_columns:
-        raise ResourceGuardExceeded(ncols, cfg.max_columns,
-                                    f"generic-forms run (n={n}, d={d})")
-    _warn_failure_bound(grade_size(n + 1, d), 1, cfg.p)
-
     def sample(trial: int):
-        return n, [random_form(n, e, cfg.p, _rng(cfg.seed, _TAG_FROEBERG, n, trial, i))
-                   for i, e in enumerate(degs)]
+        return [random_form(n, e, cfg.p, _rng(cfg.seed, _TAG_FROEBERG, n, trial, i))
+                for i, e in enumerate(degs)]
 
-    hilbert, per_trial = _hilbert_over_trials(sample, range(d + 1), cfg, series)
+    (hilbert,), (used,), _ = _levels_over_trials(
+        sample, (n,), range(d + 1), 1, f"generic-forms run (n={n}, d={d})",
+        cfg, (series,))
     return FroebergCheck(
         n=n,
         l=l,
@@ -752,5 +743,5 @@ def froeberg_oracle_r2(n: int, l: int, k: int, d: int,
         recursive=recursive,
         froeberg_match=hilbert == series,
         implied_secant_dim=grade_size(n, d) - 1 - hilbert[d],
-        trials_used=len(per_trial),
+        trials_used=used,
     )

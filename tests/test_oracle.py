@@ -718,11 +718,13 @@ class TestIdealPieceRank:
         if data.draw(st.booleans()):
             gens.append(HomogeneousForm(n, 1, np.zeros(n)))
         cfg = PrimeFieldConfig(p=p, trials=1)
-        best, per_trial = runs._hilbert_over_trials(lambda t: (n, gens),
-                                                    range(d + 1), cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the failure bound at p = 7
+            (best,), _, per_trial = runs._levels_over_trials(
+                lambda t: gens, (n,), range(d + 1), 1, "test run", cfg, (None,))
         want = tuple(grade_size(n, j) - ideal_piece_rank(gens, j, p)
                      for j in range(d + 1))
-        assert per_trial == [want] and best == want
+        assert per_trial == [(want,)] and best == want
 
     @given(st.sampled_from([(3, 2, (1, 1)), (4, 2, (1, 1)), (3, 1, (1, 1)),
                             (4, 2, (2, 1)), (3, 3, (2, 1)), (5, 2, (3, 1))]),
@@ -1012,20 +1014,48 @@ class TestOracleRuns:
 
         def sample(trial):
             seen.append(trial)
-            return 3, [monomial_form(3, e, p)
-                       for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))[:trial % 3 + 1]]
+            return [monomial_form(3, e, p)
+                    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))[:trial % 3 + 1]]
+
+        def run(degrees, target):
+            (best,), _, per_trial = runs._levels_over_trials(
+                sample, (3,), degrees, 1, "test run", cfg, (target,))
+            return best, [hf for hf, in per_trial]
 
         cfg = PrimeFieldConfig(p=p, trials=5)
-        best, per_trial = runs._hilbert_over_trials(sample, range(2), cfg)
+        best, per_trial = run(range(2), None)
         assert seen == [0, 1, 2, 3, 4]
         assert per_trial == [(1, 2), (1, 1), (1, 0), (1, 2), (1, 1)]
         assert best == (1, 0)
         seen.clear()
-        best, per_trial = runs._hilbert_over_trials(sample, [1], cfg, target=(1,))
+        best, per_trial = run([1], (1,))
         assert seen == [0, 1] and per_trial == [(2,), (1,)] and best == (1,)
         seen.clear()
-        best, per_trial = runs._hilbert_over_trials(sample, [1], cfg, target=(5,))
+        best, per_trial = run([1], (5,))
         assert seen == [0, 1, 2, 3, 4] and best == (0,)
+
+    def test_driver_checks_the_guard_before_sampling(self):
+        """The driver's column guard, on the top level's widest piece,
+        trips before the sampler is called; a guard one column wider
+        admits the run, which samples once per trial."""
+        seen = []
+
+        def sample(trial):
+            seen.append(trial)
+            return [monomial_form(4, (1, 0, 0, 0), 10007)]
+
+        def run(max_columns):
+            cfg = PrimeFieldConfig(p=10007, trials=2, max_columns=max_columns)
+            return runs._levels_over_trials(sample, (4, 3), range(4), 1,
+                                            "test run", cfg, (None, None))
+
+        with pytest.raises(ResourceGuardExceeded,
+                           match="test run: matrix would have 20 columns, guard is 19"):
+            run(19)
+        assert seen == []
+        best, used, _ = run(20)
+        assert seen == [0, 1] and used == [2, 2]
+        assert best == [(1, 3, 6, 10), (1, 2, 3, 4)]
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63 + 5, 2**64 + 7])
     def test_rng_streams_equal_the_tuple_entropy(self, seed):
@@ -1151,6 +1181,21 @@ class TestOracleRuns:
         run = oracle_run(inst(20, 19, [4, 1]), PrimeFieldConfig(trials=1, max_columns=1))
         assert run.eliminated and run.columns == 1 and run.fills
         assert sampled == [1] * 19
+
+    def test_failure_bound_counts_the_sampled_matrices(self):
+        """On [d-1, 1] the bound sums the widths in the n - l variables a
+        run samples in, not in n: one column at n = 20, l = 19 passes
+        p = 10007 (42504 columns in 20 variables would not), and degrees
+        0..5 in 9 variables have 2002 columns (6188 in 12 variables)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            oracle_run(inst(20, 19, [4, 1]), PrimeFieldConfig(p=10007, trials=1))
+        with pytest.warns(UserWarning, match="failure bound") as caught:
+            oracle_run(inst(12, 3, [4, 1]), PrimeFieldConfig(p=1009, trials=1),
+                       want_hilbert=True)
+        assert len(caught) == 1
+        assert "failure bound 2002 x 1 / p" in str(caught[0].message)
+        assert caught[0].filename == __file__
 
     def test_table_guard_stops_before_the_table(self):
         """A factor product whose multiplication table would pass
@@ -1317,6 +1362,21 @@ class TestFroebergBridge:
             froeberg_oracle_r2(4, 2, 3, 4, PrimeFieldConfig())
         with pytest.raises(ValueError):
             froeberg_oracle_r2(4, 2, 0, 4, PrimeFieldConfig())
+
+    def test_guard_stops_before_sampling(self, monkeypatch):
+        """The degree-5 piece in 6 variables has 252 columns: a guard of
+        251 refuses the run before any form is sampled, 252 admits it."""
+        def refuse(*args):
+            raise AssertionError("a form was sampled")
+
+        with monkeypatch.context() as m:
+            m.setattr(runs, "random_form", refuse)
+            with pytest.raises(ResourceGuardExceeded) as err:
+                froeberg_oracle_r2(6, 2, 2, 5, PrimeFieldConfig(max_columns=251))
+        assert str(err.value) == ("generic-forms run (n=6, d=5): matrix would "
+                                  "have 252 columns, guard is 251")
+        chk = froeberg_oracle_r2(6, 2, 2, 5, PrimeFieldConfig(trials=1, max_columns=252))
+        assert chk.froeberg_match
 
 
 class TestFrozenFullHilbert:

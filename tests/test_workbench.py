@@ -373,6 +373,19 @@ class TestCli:
         assert cli.main(["series", "--n", "100", "--l", "300", "--partition", "3,2",
                          "--truncate", "10000", "--which", "join"]) == 2
         capsys.readouterr()
+        # coefficients past the interpreter's 4300-digit limit for printing
+        # an integer are refused by name; those below it print
+        for which in ("join", "predicted"):
+            assert cli.main(["series", "--n", "1000000000", "--l", "2",
+                             "--partition", "2,1", "--truncate", "650",
+                             "--which", which]) == 2
+            err = capsys.readouterr().err
+            assert "more than 4300 digits" in err and "--truncate" in err
+            assert "sys.set_int_max_str_digits" not in err
+            assert cli.main(["series", "--n", "1000000000", "--l", "2",
+                             "--partition", "2,1", "--truncate", "600",
+                             "--which", which]) == 0
+            assert len(json.loads(capsys.readouterr().out)) == 601
         # a wide ring is fine through a short window
         assert cli.main(["series", "--n", "100000000", "--l", "2", "--partition", "2,1",
                          "--truncate", "3", "--which", "join"]) == 0

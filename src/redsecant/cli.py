@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .combinatorics import Partition, ProblemInstance, segre_report
@@ -22,13 +21,7 @@ from .predictor import (
     reducible_forms_predict,
     threshold_l0,
 )
-from .series import (
-    SeriesNumerator,
-    expand_rational,
-    predicted_hilbert,
-    reducible_numerator,
-    series_pow,
-)
+from .series import expand_power, plus_truncate
 from .workbench import SWEEP_FAMILIES, SweepConfig, sweep, verify_case
 
 EXIT_OK = 0
@@ -39,49 +32,6 @@ EXIT_GUARD = 4
 # Largest --truncate accepted: the series are lists of big integers built
 # term by term, and 10^4 degrees already take about half a second.
 MAX_TRUNCATE = 10_000
-
-# Largest number of decimal digits a series expansion may write, judged
-# before it starts: its truncate + 1 coefficients are sums of binomials
-# C(j + m - 1, m - 1) over m variables.  10^4 coefficients of a few
-# hundred digits each (n = 100) take about a second.
-MAX_SERIES_DIGITS = 5_000_000
-
-# Largest work a series expansion may take, judged before it starts, in
-# products of small integers: each term of the numerator's power meets up
-# to truncate + 1 coefficients of 1/(1-t)^m, and the power's own products
-# are no more.  A product of a c-digit coefficient by a b-digit binomial
-# counts as 1 + c * b / _DIGIT_PAIRS of them: through degree 10^4,
-# --partition 3,2 --l 300 makes 1.4 * 10^7 products of coefficients of up
-# to 167 digits, which took 2.6 s against binomials of up to 12 digits
-# (--n 4) and 10.9 s against binomials of up to 241 (--n 100).
-MAX_SERIES_WORK = 20_000_000
-_DIGIT_PAIRS = 10_000
-
-
-def _binomial_digits(bound: int, m: int) -> float:
-    """Upper bound on the digits of each of the first bound + 1
-    coefficients of 1/(1-t)^m: C(j + m - 1, m - 1) with j <= bound is below
-    (bound + m)^min(bound, m - 1), and for m < 2 each is 0 or 1."""
-    return min(bound, m - 1) * math.log10(bound + m) + 1 if m > 1 else 1
-
-
-def _power_terms(num: SeriesNumerator, l: int, bound: int) -> int:
-    """Upper bound on the terms of num^l cut after degree bound."""
-    return min(bound, l * num.degree) + 1
-
-
-def _coefficient_digits(num: SeriesNumerator, l: int) -> float:
-    """Upper bound on the digits of each coefficient of num^l: it is at
-    most the l-th power of the sum of num's absolute coefficients."""
-    norm = sum(abs(c) for _, c in num.terms)
-    return l * math.log10(norm) + 1
-
-
-def _series_work(num: SeriesNumerator, l: int, bound: int, m: int) -> float:
-    """Upper bound on the work of expanding num^l / (1-t)^m through degree
-    bound, in the units of MAX_SERIES_WORK."""
-    pairs = _coefficient_digits(num, l) * _binomial_digits(bound, m)
-    return _power_terms(num, l, bound) * (bound + 1) * (1 + pairs / _DIGIT_PAIRS)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -94,7 +44,25 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"range must look like A:B, got {text!r}") from exc
 
 
+def _check_printable(numbers, what: str, flags: str) -> None:
+    """Refuse to print integers past the interpreter's limit for converting
+    an integer to text, instead of failing inside the conversion."""
+    limit = sys.get_int_max_str_digits()
+    if limit and max(map(abs, numbers)) >= 10 ** limit:
+        raise ValueError(
+            f"{what} has more than {limit} digits, the interpreter's limit "
+            f"for printing an integer (sys.get_int_max_str_digits()); "
+            f"lower {flags}")
+
+
+def _check_report(rep: PredictionReport) -> None:
+    doc = rep.to_json()
+    numbers = [v for v in doc.values() if type(v) is int] + doc["a_seq"]
+    _check_printable(numbers, "a number in the report", "--n or the degree")
+
+
 def _report_lines(rep: PredictionReport) -> list[str]:
+    _check_report(rep)
     inst = rep.instance
     part = inst.partition
     codim = inst.N - 1 - rep.predicted_dim
@@ -117,6 +85,7 @@ def _report_lines(rep: PredictionReport) -> list[str]:
 
 def _print_report(rep: PredictionReport, as_json: bool) -> None:
     if as_json:
+        _check_report(rep)
         print(json.dumps(rep.to_json(), indent=2))
     else:
         print("\n".join(_report_lines(rep)))
@@ -156,36 +125,11 @@ def cmd_series(args) -> int:
     if not 0 <= bound <= MAX_TRUNCATE:
         raise ValueError(f"need 0 <= --truncate <= {MAX_TRUNCATE}, got {bound}")
     m = {"numerator": 0, "artinian": 2 * inst.l}.get(args.which, inst.n)
-    if (bound + 1) * _binomial_digits(bound, m) > MAX_SERIES_DIGITS:
-        raise ValueError(
-            f"a series in {m} variables through degree {bound} would take "
-            f"more than {MAX_SERIES_DIGITS} digits; lower --n or --truncate")
-    base = reducible_numerator(part)
-    if (_power_terms(base, inst.l, bound) * _coefficient_digits(base, inst.l)
-            > MAX_SERIES_DIGITS):
-        raise ValueError(
-            f"the numerator's {inst.l}-th power through degree {bound} would "
-            f"take more than {MAX_SERIES_DIGITS} digits; lower --l or --truncate")
-    if _series_work(base, inst.l, bound, m) > MAX_SERIES_WORK:
-        raise ValueError(
-            f"expanding the numerator's {inst.l}-th power through degree "
-            f"{bound} would take more than {MAX_SERIES_WORK} small coefficient "
-            f"products; lower --n, --l or --truncate")
-    num = series_pow(base, inst.l, bound)
-    if args.which == "numerator":
-        series = num.as_series(bound)
-    elif args.which == "join":
-        series = expand_rational(num, inst.n, bound)
-    elif args.which == "artinian":
-        series = expand_rational(num, 2 * inst.l, bound)
-    else:
-        series = predicted_hilbert(inst.n, inst.l, part, bound)
-    limit = sys.get_int_max_str_digits()
-    if limit and max(map(abs, series.coeffs)) >= 10 ** limit:
-        raise ValueError(
-            f"a coefficient through degree {bound} has more than {limit} "
-            f"digits, the interpreter's limit for printing an integer "
-            f"(sys.get_int_max_str_digits()); lower --n, --l or --truncate")
+    series = expand_power(part, inst.l, m, bound)
+    if args.which == "predicted":
+        series = plus_truncate(series)
+    _check_printable(series.coeffs, f"a coefficient through degree {bound}",
+                     "--n, --l or --truncate")
     print(json.dumps(list(series.coeffs)))
     return EXIT_OK
 
@@ -276,6 +220,7 @@ def cmd_redforms(args) -> int:
 def cmd_segre(args) -> int:
     inst = ProblemInstance(args.n, args.l, Partition.from_text(args.partition))
     rep = segre_report(inst.n, inst.partition, inst.l, predict(inst))
+    _check_printable(rep.factors, "a factor space's dimension", "--n or the degree")
     print(f"factor spaces: {' x '.join(f'P^{m - 1}' for m in rep.factors)}")
     print(f"balanced = {'yes' if rep.balanced else 'no'}")
     print(f"nondefective secant implied = "

@@ -79,8 +79,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..combinatorics import ProblemInstance, expected_dim
-from ..series import expand_rational, plus_truncate, predicted_hilbert
-from ..series import reducible_numerator, series_pow
+from ..series import expand_power, plus_truncate, predicted_hilbert
 from .forms import HomogeneousForm, random_form, tangent_generators
 from .modmat import P_LIMIT, RankAccumulator, matmul_mod
 from .monomials import ResourceGuardExceeded, grade_size, mul_table, table_rows
@@ -712,8 +711,7 @@ def froeberg_oracle_r2(n: int, l: int, k: int, d: int,
         raise ValueError(f"need n >= 2 and l >= 1, got n={n}, l={l}")
     degs = sorted([k] * l + [d - k] * l)
     # for two parts the numerator is (1 - t^k)(1 - t^(d-k))
-    num = series_pow(reducible_numerator([d - k, k]), l, d)
-    series = plus_truncate(expand_rational(num, n, d)).coeffs
+    series = plus_truncate(expand_power([d - k, k], l, n, d)).coeffs
 
     h = [grade_size(n, j) for j in range(d + 1)]
     for e in degs:

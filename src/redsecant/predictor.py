@@ -24,7 +24,7 @@ from .combinatorics import (
     dim_variety,
     expected_dim,
 )
-from .series import expand_rational, reducible_numerator, series_pow
+from .series import expand_power
 
 # ============================================================
 # Prediction report
@@ -112,10 +112,13 @@ def alternating_binomial_sum(l: int, n: int, s: int, d: int) -> int:
     This is the l-th finite difference (step s) of the degree-(n-1)
     polynomial j -> C(j+n-1, n-1), so it vanishes whenever l > n-1, provided
     d - l*s + n - 1 >= 0 so that the zero-extension convention never bites.
+    For s >= 1 every term with k*s > d is zero, since then d-ks+n-1 < n-1,
+    so the sum stops at k = min(l, d // s).
     """
+    top = min(l, d // s) if s >= 1 else l
     return sum(
         (-1) ** k * binom(l, k) * binom(d - k * s + n - 1, n - 1)
-        for k in range(l + 1)
+        for k in range(top + 1)
     )
 
 
@@ -187,7 +190,7 @@ def predict(inst: ProblemInstance) -> PredictionReport:
     d, r, s = part.d, part.r, part.s
     d1, d2 = part.parts[0], part.parts[1]
 
-    a_seq = expand_rational(series_pow(reducible_numerator(part), l, d), n, d).coeffs
+    a_seq = expand_power(part, l, n, d).coeffs
     for j in range(min(s, d + 1)):
         if a_seq[j] <= 0:
             raise RuntimeError(
@@ -368,7 +371,8 @@ FAMILIES = ("balanced", "linear_factor", "reducible_forms")
 def threshold_l0(family: str, n: int, d: int) -> int:
     """Least secant index l0 from which the family fills its ambient space.
 
-    Integer scan of the defining inequality, never the closed radical form:
+    Integer search on the defining inequality, never the closed radical
+    form:
 
     * balanced ([d/2, d/2], d even): least l >= n/2 with
       N <= 2*l*B + l - 2*l^2 where B = C(d/2+n-1, n-1); the scan also stops
@@ -376,6 +380,10 @@ def threshold_l0(family: str, n: int, d: int) -> int:
       that many points already span, since N <= B^2 - B there).
     * linear_factor ([d-1, 1], d >= 3) and reducible_forms (d >= 2):
       least l >= n/2 with C(d-l+n-1, d) <= l*(n-l); always at most n-1.
+      In u = n - l, divided by u, the condition reads
+      (u+1)...(u+d-1)/d! <= n - u: the left side increases with u and the
+      right side decreases, so the u that satisfy it are 1..u_max, and a
+      bisection on [1, n/2] finds u_max.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -394,14 +402,14 @@ def threshold_l0(family: str, n: int, d: int) -> int:
     min_d = 3 if family == "linear_factor" else 2
     if d < min_d:
         raise ValueError(f"family {family} needs d >= {min_d}, got d={d}")
-    l = (n + 1) // 2
-    while binom(d - l + n - 1, d) > l * (n - l):
-        l += 1
-        if l > n - 1:
-            raise RuntimeError(
-                f"internal error: threshold scan passed n-1 for ({family}, {n}, {d})"
-            )
-    return l
+    lo, hi = 1, n // 2  # u = 1 always satisfies it: 1 <= n - 1
+    while lo < hi:
+        u = (lo + hi + 1) // 2
+        if binom(d + u - 1, d) <= u * (n - u):
+            lo = u
+        else:
+            hi = u - 1
+    return n - lo
 
 
 def linear_factor_predict(n: int, l: int, d: int) -> PredictionReport:

@@ -9,6 +9,7 @@ floating point.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from .combinatorics import PartitionLike, as_partition
@@ -249,6 +250,77 @@ def plus_truncate(x: TruncatedSeries | Sequence[int]) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
+# Largest cost of one expand_power, in _expansion_cost's units (40-70 ns
+# each on a 2-vCPU Xeon VM): about a second, and under 80 MB of coefficients.
+MAX_SERIES_COST = 20_000_000
+
+
+def _expansion_cost(num: SeriesNumerator, l: int, m: int, bound: int) -> int:
+    """Upper bound on the cost of num^l / (1-t)^m through degree bound, for
+    num = 1 + R a reducible_numerator: R has T terms in degrees s..d, whose
+    coefficients sum to 2r - 1 in absolute value.  Units: 8 per coefficient
+    product of series_pow, 2 per coefficient step of expand_rational, 1 per
+    2^16 bit pairs multiplied and per 512 bits written, 1 per 32 bits held.
+
+    Through the bound num^l has at most 1 + min(l*d, bound + 1 - s) terms,
+    at most prod_i (min(l, bound // e_i) + 1) over R's exponents e_i, and at
+    most (bound + sum_i e_i)^T / (T! prod_i e_i), the volume that holds a
+    unit cube at each exponent vector; num^j has at most C(T + j, T) terms,
+    and a product of i terms by j takes i*j coefficient products.  Only R^k
+    with k <= K = min(l, bound // s) reach the bound, so a coefficient is
+    at most min((2r)^l, (2l(2r - 1))^K).  For j <= bound and k = min(bound,
+    m - 1), C(j + m - 1, m - 1) < (3(bound + m - 1)/k)^k.  Powers of at most
+    64 terms skip the costlier counts; the predictor's series are smaller.
+    """
+    (s, _), (d, top) = num.terms[1], num.terms[-1]
+    t = len(num.terms) - 1
+    terms = 1 + min(l * d, max(0, bound + 1 - s))
+    products = 2 * l.bit_length() * terms * terms
+    if terms > 64:
+        prod = simplex = 1
+        reach = bound
+        for i, (e, _) in enumerate(num.terms[1:], 1):
+            prod *= min(l, bound // e) + 1
+            simplex *= i * e
+            reach += e
+        terms = min(terms, prod, reach ** t // simplex)
+        # series_pow's chain: num^j squared, and times the power made so far
+        products, j, done = 0, 1, 0
+        while j <= l:
+            size = min(terms, j * d + 1, math.comb(t + j, t))
+            if l & j:
+                products += size * min(terms, done * d + 1, math.comb(t + done, t))
+                done += j
+            products += size * size
+            j *= 2
+    a = 2 * top + 1
+    c_bits = 1 + min(l * a.bit_length(),
+                     min(l, bound // s) * ((l * a).bit_length() + 1))
+    k = min(bound, m - 1)
+    b_bits = 1 + (k * (3 * (bound + m - 1) // k + 1).bit_length() if k > 0 else 0)
+    cost = products * (8 + (c_bits * c_bits >> 16))
+    if m:
+        steps = bound + 1 + (terms - 1) * (bound + 1 - s)
+        cost += bound * (2 + (b_bits >> 9)) + steps * (
+            2 + ((c_bits + b_bits) >> 9) + (c_bits * b_bits >> 16))
+    return cost + ((bound + 1) * (4 * c_bits + 2 * b_bits + 1024) >> 5)
+
+
+def expand_power(partition: PartitionLike, l: int, m: int,
+                 bound: int) -> TruncatedSeries:
+    """reducible_numerator(partition)^l / (1-t)^m through degree bound (m = 0:
+    the power itself).  Raises ValueError before series_pow starts when
+    _expansion_cost is above MAX_SERIES_COST."""
+    num = reducible_numerator(partition)
+    cost = _expansion_cost(num, l, m, bound)
+    if cost > MAX_SERIES_COST:
+        raise ValueError(
+            f"expanding the {l}-th power of the numerator over (1-t)^{m} "
+            f"through degree {bound} would cost about {cost} units, more "
+            f"than {MAX_SERIES_COST}; lower n, l or the degree")
+    return expand_rational(series_pow(num, l, bound), m, bound)
+
+
 def artinian_bound(l: int, d: int) -> int:
     """Socle degree of the artinian reduction: its Hilbert series is a
     polynomial of degree l*(d-2), so this bound shows all of it."""
@@ -272,5 +344,4 @@ def predicted_hilbert(
         raise ValueError(f"need l >= 1, got l={l}")
     if bound is None:
         bound = part.d
-    num_l = series_pow(reducible_numerator(part), l, bound)
-    return plus_truncate(expand_rational(num_l, n, bound))
+    return plus_truncate(expand_power(part, l, n, bound))

@@ -1378,6 +1378,14 @@ class TestFroebergBridge:
         chk = froeberg_oracle_r2(6, 2, 2, 5, PrimeFieldConfig(trials=1, max_columns=252))
         assert chk.froeberg_match
 
+    def test_oversized_series_is_refused_before_sampling(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a form was sampled")
+
+        monkeypatch.setattr(runs, "random_form", refuse)
+        with pytest.raises(ValueError, match="would cost"):
+            froeberg_oracle_r2(4, 3000, 1, 20001, PrimeFieldConfig())
+
 
 class TestFrozenFullHilbert:
     def test_full_hilbert_json_matches_frozen_digest(self):

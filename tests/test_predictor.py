@@ -152,6 +152,20 @@ class TestGouldIdentity:
         # l <= n-1 is outside the identity's hypotheses
         assert alternating_binomial_sum(2, 4, 1, 3) != 0
 
+    def test_sum_stopped_at_d_over_s_equals_the_full_sum(self):
+        """Terms with k*s > d vanish, so stopping at min(l, d // s) keeps
+        the value; the reference runs over every k = 0..l."""
+        import random
+        rng = random.Random(20261019)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            s = rng.randint(1, 6)
+            d = rng.randint(-3, 40)
+            l = rng.randint(max(0, d // s + 1), d // s + 30)
+            full = sum((-1) ** k * binom(l, k) * binom(d - k * s + n - 1, n - 1)
+                       for k in range(l + 1))
+            assert alternating_binomial_sum(l, n, s, d) == full, (l, n, s, d)
+
 
 WORKED_CASES = [
     # (n, l, parts, predicted, defect, fills, status)
@@ -360,6 +374,28 @@ class TestThresholds:
     def test_linear_factor_frozen_values(self):
         assert threshold_l0("linear_factor", 5, 5) == 3
         assert threshold_l0("linear_factor", 6, 3) == 4
+
+    def test_bisection_matches_the_scan(self):
+        """The reference is the upward scan from l = ceil(n/2) that the
+        bisection on u = n - l replaced."""
+        def scan(n, d):
+            l = (n + 1) // 2
+            while binom(d - l + n - 1, d) > l * (n - l):
+                l += 1
+            return l
+
+        for family, min_d in (("linear_factor", 3), ("reducible_forms", 2)):
+            for n in range(3, 61):
+                for d in range(min_d, 16):
+                    assert threshold_l0(family, n, d) == scan(n, d), (family, n, d)
+
+    def test_wide_thresholds_are_the_least_admissible_l(self):
+        # the scan takes seconds here; l0 satisfies C(d-l+n-1, d) <= l(n-l)
+        # and l0 - 1 does not
+        for n, d in ((10**5, 650), (10**9, 650), (10**9, 3)):
+            l0 = threshold_l0("linear_factor", n, d)
+            assert binom(d - l0 + n - 1, d) <= l0 * (n - l0)
+            assert binom(d - l0 + n, d) > (l0 - 1) * (n - l0 + 1)
 
     def test_family_validation(self):
         with pytest.raises(ValueError):

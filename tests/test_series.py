@@ -1,12 +1,16 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from redsecant.combinatorics import Partition, binom
+from redsecant import series
+from redsecant.combinatorics import Partition, ProblemInstance, binom
+from redsecant.predictor import predict
 from redsecant.series import (
+    MAX_SERIES_COST,
     SeriesNumerator,
     TruncatedSeries,
     artinian_bound,
+    expand_power,
     expand_rational,
     plus_truncate,
     predicted_hilbert,
@@ -121,6 +125,85 @@ def test_series_pow_validation():
         series_pow(num, -1, 4)
     with pytest.raises(ValueError):
         series_pow(num, 2, -1)
+
+
+_SMALL_PARTS = st.lists(st.integers(min_value=1, max_value=30), min_size=2, max_size=4)
+
+
+@given(_SMALL_PARTS, st.integers(0, 8), st.integers(0, 9), st.integers(0, 40))
+@settings(max_examples=60)
+def test_expand_power_is_the_composition(parts, l, m, bound):
+    num = series_pow(reducible_numerator(parts), l, bound)
+    assert expand_power(parts, l, m, bound) == expand_rational(num, m, bound)
+
+
+def _counted_cost(num, l, m, bound):
+    """The cost _expansion_cost bounds, counted on a run: series_pow's
+    coefficient products and the largest coefficient it meets, the steps
+    of expand_rational and its largest binomial, in the same units."""
+    products, c_bits = 0, 1
+
+    def mul(x, y):
+        nonlocal products, c_bits
+        acc = {}
+        for e1, c1 in x.terms:
+            for e2, c2 in y.terms:
+                if e1 + e2 <= bound:
+                    products += 1
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+        out = SeriesNumerator(acc.items())
+        c_bits = max([c_bits] + [abs(c).bit_length() for _, c in out.terms])
+        return out
+
+    result, base, e = SeriesNumerator.one(), num, l
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    b_bits = max(binom(j + m - 1, m - 1).bit_length() for j in range(bound + 1))
+    cost = products * (8 + (c_bits * c_bits >> 16))
+    if m:
+        steps = sum(bound + 1 - e for e, _ in result.terms)
+        cost += bound * (2 + (b_bits >> 9)) + steps * (
+            2 + ((c_bits + b_bits) >> 9) + (c_bits * b_bits >> 16))
+    return cost + ((bound + 1) * (4 * c_bits + 2 * b_bits + 1024) >> 5)
+
+
+@given(_SMALL_PARTS, st.integers(0, 300), st.integers(0, 3000), st.integers(0, 300))
+@settings(max_examples=60, deadline=None)
+@example([1, 1], 64, 0, 128)  # (1-t)^(2j): every term count is exact
+def test_cost_estimate_bounds_the_counted_cost(parts, l, m, bound):
+    """Every bound the estimate takes (terms, products, coefficient and
+    binomial bits) holds on the run, in the fast form (at most 64 terms)
+    and the tight one."""
+    num = reducible_numerator(parts)
+    assert series._expansion_cost(num, l, m, bound) >= _counted_cost(num, l, m, bound)
+
+
+def test_oversized_expansions_are_refused_before_they_start(monkeypatch):
+    """predict, predicted_hilbert and expand_power share one guard, which
+    raises before series_pow or expand_rational runs."""
+    def refuse(*args):
+        raise AssertionError("the expansion started")
+
+    monkeypatch.setattr(series, "series_pow", refuse)
+    monkeypatch.setattr(series, "expand_rational", refuse)
+    assert series._expansion_cost(reducible_numerator([20000, 1]), 3000, 4,
+                                  20001) > MAX_SERIES_COST
+    with pytest.raises(ValueError, match="would cost"):
+        expand_power([20000, 1], 3000, 4, 20001)
+    with pytest.raises(ValueError, match="would cost"):
+        predicted_hilbert(4, 3000, [20000, 1])
+    with pytest.raises(ValueError, match="would cost"):
+        predict(ProblemInstance(4, 3000, Partition([20000, 1])))
+
+
+def test_expand_power_validation():
+    for l, m, bound in ((-1, 4, 3), (2, -1, 3), (2, 4, -1)):
+        with pytest.raises(ValueError):
+            expand_power([2, 1], l, m, bound)
 
 
 class TestPlusTruncate:

@@ -1,8 +1,13 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from redsecant import cli, workbench
 from redsecant.combinatorics import Partition, ProblemInstance
@@ -386,6 +391,16 @@ class TestCli:
                              "--partition", "2,1", "--truncate", "600",
                              "--which", which]) == 0
             assert len(json.loads(capsys.readouterr().out)) == 601
+        # and so are reports holding such a number (the ambient dimension)
+        for extra in ([], ["--json"]):
+            assert cli.main(["predict", "--n", "1000000000", "--l", "2",
+                             "--partition", "649,1"] + extra) == 2
+            err = capsys.readouterr().err
+            assert "more than 4300 digits" in err
+            assert "sys.set_int_max_str_digits" not in err
+            assert cli.main(["predict", "--n", "1000000000", "--l", "2",
+                             "--partition", "599,1"] + extra) == 0
+            assert "predicted" in capsys.readouterr().out
         # a wide ring is fine through a short window
         assert cli.main(["series", "--n", "100000000", "--l", "2", "--partition", "2,1",
                          "--truncate", "3", "--which", "join"]) == 0
@@ -396,6 +411,30 @@ class TestCli:
                          "--truncate", "100", "--which", "join"]) == 0
         # (1 - t^2)^300 (1 - t^3)^300 / (1-t)^4 = 1 + 4t + (10 - 300)t^2 + ...
         assert json.loads(capsys.readouterr().out)[:3] == [1, 4, -290]
+
+    def test_oversized_series_exit_2_on_every_subcommand(self, capsys):
+        """predict, segre, verify, lfactor and redforms expand the series
+        that `series` prints, through the same guard, before any oracle."""
+        wide = ["--n", "4", "--l", "3000", "--partition", "20000,1"]
+        for argv in (["predict"] + wide, ["segre"] + wide, ["verify"] + wide,
+                     ["lfactor", "--n", "4", "--l", "3000", "--d", "20001"],
+                     ["redforms", "--n", "4", "--l", "3000", "--d", "20001"]):
+            start = time.perf_counter()
+            assert cli.main(argv) == 2
+            assert time.perf_counter() - start < 1.0
+            assert "would cost" in capsys.readouterr().err
+
+    def test_report_numbers_past_the_print_limit_exit_2(self, capsys):
+        # lfactor and redforms reach it once their threshold is a bisection
+        for command in ("lfactor", "redforms"):
+            assert cli.main([command, "--n", "1000000000", "--l", "2",
+                             "--d", "650"]) == 2
+            err = capsys.readouterr().err
+            assert "more than 4300 digits" in err
+            assert "sys.set_int_max_str_digits" not in err
+        assert cli.main(["lfactor", "--n", "1000000000", "--l", "2",
+                         "--d", "600"]) == 0
+        assert "threshold l0 = 999999996" in capsys.readouterr().out
 
     def test_resource_guard_exits_4(self, capsys):
         assert cli.main(["oracle", "--n", "5", "--l", "4", "--partition",
@@ -455,3 +494,55 @@ class TestCli:
                          "2,1", "--trials", "1"])
         assert code == 3
         assert "disagreement" in capsys.readouterr().err
+
+
+# Subcommands answered by the predictor and the series alone.  oracle,
+# verify and sweep are left out: the oracle's column guard still admits
+# bases of 250,000 columns, which take minutes and gigabytes before any
+# byte guard stops them, and sweep starts worker processes.
+_FUZZ_PARTS = st.one_of(
+    st.lists(st.integers(min_value=-1, max_value=10**6), max_size=6),
+    st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=2000),
+)
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(
+        ["predict", "series", "segre", "lfactor", "redforms", "n3line"]))
+    n = draw(st.integers(min_value=-1, max_value=10**9))
+    l = draw(st.integers(min_value=-1, max_value=10**6))
+    if command in ("lfactor", "redforms"):
+        d = draw(st.integers(min_value=-1, max_value=10**6))
+        return [command, f"--n={n}", f"--l={l}", f"--d={d}"]
+    partition = ",".join(map(str, draw(_FUZZ_PARTS)))
+    if command == "n3line":
+        return [command, f"--partition={partition}"]
+    argv = [command, f"--n={n}", f"--l={l}", f"--partition={partition}"]
+    if command == "predict" and draw(st.booleans()):
+        argv.append("--json")
+    if command == "series":
+        truncate = draw(st.integers(min_value=-1, max_value=10**4))
+        which = draw(st.sampled_from(["numerator", "join", "artinian", "predicted"]))
+        argv += [f"--truncate={truncate}", f"--which={which}"]
+    return argv
+
+
+_MANY_PARTS = ",".join(["3"] * 700 + ["2"] * 700 + ["1"] * 600)
+
+
+class TestCliFuzz:
+    @settings(max_examples=50, deadline=5000, derandomize=True)
+    @given(_fuzz_argv())
+    @example(["predict", "--n=1000000000", "--l=2", f"--partition={_MANY_PARTS}"])
+    @example(["segre", "--n=1000000000", "--l=1000000", f"--partition={_MANY_PARTS}"])
+    @example(["predict", "--n=5", "--l=1000000", f"--partition={_MANY_PARTS}"])
+    def test_every_input_exits_0_or_2_in_good_time(self, argv):
+        """Huge n, l and parts, and thousands of parts: each run ends in
+        exit 0 or 2 within the deadline, and raises nothing."""
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main(argv)
+        assert code in (0, 2), (code, err.getvalue())
+        if code == 2:
+            assert "sys.set_int_max_str_digits" not in err.getvalue()

@@ -33,6 +33,10 @@ EXIT_GUARD = 4
 # term by term, and 10^4 degrees already take about half a second.
 MAX_TRUNCATE = 10_000
 
+# Most decimal digits a `predict --json` report may hold, a_seq included:
+# about 2 MB of JSON, which renders in about a tenth of a second.
+MAX_REPORT_DIGITS = 2_000_000
+
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
@@ -55,10 +59,21 @@ def _check_printable(numbers, what: str, flags: str) -> None:
             f"lower {flags}")
 
 
-def _check_report(rep: PredictionReport) -> None:
+def _check_report(rep: PredictionReport, as_json: bool = False) -> None:
+    """Refuse a report that holds an unprintable number or, as JSON, more
+    than MAX_REPORT_DIGITS digits, before any of it is rendered."""
     doc = rep.to_json()
     numbers = [v for v in doc.values() if type(v) is int] + doc["a_seq"]
     _check_printable(numbers, "a number in the report", "--n or the degree")
+    if as_json:
+        # an integer of b bits has at most (b * 1234 >> 12) + 1 digits,
+        # since log10(2) < 1234 / 4096
+        digits = sum((abs(v).bit_length() * 1234 >> 12) + 1 for v in numbers)
+        if digits > MAX_REPORT_DIGITS:
+            raise ValueError(
+                f"the JSON report would hold about {digits} digits, more "
+                f"than {MAX_REPORT_DIGITS}; lower --n, --l or the degree, "
+                f"or leave out --json")
 
 
 def _report_lines(rep: PredictionReport) -> list[str]:
@@ -85,7 +100,7 @@ def _report_lines(rep: PredictionReport) -> list[str]:
 
 def _print_report(rep: PredictionReport, as_json: bool) -> None:
     if as_json:
-        _check_report(rep)
+        _check_report(rep, as_json=True)
         print(json.dumps(rep.to_json(), indent=2))
     else:
         print("\n".join(_report_lines(rep)))

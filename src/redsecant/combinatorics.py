@@ -33,13 +33,17 @@ class Partition:
 
     The constructor sorts, so ``Partition([2, 3, 2])`` and
     ``Partition([3, 2, 2])`` are the same value.  Derived attributes follow
-    the usual naming: d is the total, r the number of parts, s = d - d_1,
-    and t the multiplicity of the largest part.
+    the usual naming: d is the total, r the number of parts, s = d - d_1
+    (the sum of all parts except the largest), and t the multiplicity of
+    the largest part.  d, r and s are stored once, at construction.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "d", "r", "s")
 
     parts: tuple[int, ...]
+    d: int
+    r: int
+    s: int
 
     def __init__(self, parts: Iterable[int]):
         ps = sorted((int(p) for p in parts), reverse=True)
@@ -47,7 +51,11 @@ class Partition:
             raise ValueError("partition needs at least one part")
         if ps[-1] < 1:
             raise ValueError(f"parts must be positive integers, got {ps}")
+        d = sum(ps)
         object.__setattr__(self, "parts", tuple(ps))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "r", len(ps))
+        object.__setattr__(self, "s", d - ps[0])
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
@@ -63,19 +71,6 @@ class Partition:
             return cls(int(piece) for piece in items)
         except ValueError as exc:
             raise ValueError(f"bad partition text {text!r}") from exc
-
-    @property
-    def d(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def r(self) -> int:
-        return len(self.parts)
-
-    @property
-    def s(self) -> int:
-        """Sum of all parts except the largest: s = d_2 + ... + d_r."""
-        return self.d - self.parts[0]
 
     @property
     def t(self) -> int:

@@ -5,11 +5,17 @@ Two carriers: SeriesNumerator is a sparse integer polynomial (the numerator
 a dense coefficient window c_0..c_D (everything after dividing by (1-t)^n).
 All arithmetic is exact big-integer; nothing in this module is modular or
 floating point.
+
+Powers of a numerator are built in one pass by J.C.P. Miller's recurrence
+for the power of a series (Knuth, TAOCP Vol. 2, 3rd ed., section 4.7): the
+coefficient of t^j of num^l follows from the j coefficients before it with
+at most one product per term of num, however large l is.  Its one division
+per degree is exact (see series_pow), so no rational number appears.
 """
 
 from __future__ import annotations
 
-import math
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .combinatorics import PartitionLike, as_partition
@@ -50,6 +56,13 @@ class TruncatedSeries:
         if len(coeffs) == 0:
             raise ValueError("series window must contain degree 0")
         object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+
+    @classmethod
+    def _trusted(cls, coeffs: tuple[int, ...]) -> "TruncatedSeries":
+        """A series over coeffs as given: a nonempty tuple of ints."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
 
     @property
     def bound(self) -> int:
@@ -114,8 +127,16 @@ class SeriesNumerator:
         )
 
     @classmethod
+    def _trusted(cls, terms: tuple[tuple[int, int], ...]) -> "SeriesNumerator":
+        """A polynomial over terms as given: (degree, coefficient) pairs of
+        ints, degrees distinct, nonnegative and ascending, no coefficient 0."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    @classmethod
     def one(cls) -> "SeriesNumerator":
-        return cls([(0, 1)])
+        return cls._trusted(((0, 1),))
 
     @property
     def degree(self) -> int:
@@ -139,7 +160,7 @@ class SeriesNumerator:
         for e, c in self.terms:
             if e <= bound:
                 out[e] = c
-        return TruncatedSeries(out)
+        return TruncatedSeries._trusted(tuple(out))
 
     def __setattr__(self, name, value):
         raise AttributeError("SeriesNumerator is immutable")
@@ -180,7 +201,7 @@ def expand_rational(num: SeriesNumerator, n: int, bound: int) -> TruncatedSeries
         if e > bound:
             continue
         out[e:] = [o + c * b for o, b in zip(out[e:], binomials)]
-    return TruncatedSeries(out)
+    return TruncatedSeries._trusted(tuple(out))
 
 
 def reducible_numerator(partition: PartitionLike) -> SeriesNumerator:
@@ -194,42 +215,54 @@ def reducible_numerator(partition: PartitionLike) -> SeriesNumerator:
     if part.r < 2:
         raise ValueError("need a partition with r >= 2")
     d = part.d
-    pairs = [(0, 1), (d, part.r - 1)]
-    pairs.extend((d - di, -1) for di in part.parts)
-    return SeriesNumerator(pairs)
+    # the parts descend, so the degrees d - d_i ascend, from s to below d
+    terms = [(0, 1)]
+    terms.extend((d - di, -len(list(same))) for di, same in groupby(part.parts))
+    terms.append((d, part.r - 1))
+    return SeriesNumerator._trusted(tuple(terms))
 
 
 def series_pow(num: SeriesNumerator, l: int, bound: int) -> SeriesNumerator:
     """The l-th power of num with every term above degree bound dropped.
 
-    Cutting after each product is exact through the bound, because no
-    numerator has a term of negative degree; callers read no further.
+    Miller's recurrence: write num = t^v h with h_0 != 0, and g = h^l.  Then
+    h g' = l h' g, and its coefficient of t^(j-1) reads, for j >= 1,
+
+        j h_0 g_j = sum_{i=1}^{min(j, deg h)} ((l+1) i - j) h_i g_{j-i},
+
+    so g_0 = h_0^l and each g_j follows from those before it, with one
+    product per term of h.  The division by j h_0 is exact: the integer
+    coefficients of h^l satisfy the identity, and h_0 != 0 leaves each g_j
+    no other solution, so the integer sum on the right is j h_0 times the
+    integer g_j.  g_j vanishes past l deg h, and num^l = t^(v l) g, so the
+    pass stops at degree min(bound - v l, l deg h).
     """
     if l < 0:
         raise ValueError(f"need l >= 0, got {l}")
     if bound < 0:
         raise ValueError(f"need bound >= 0, got {bound}")
-
-    def mul(x: SeriesNumerator, y: SeriesNumerator) -> SeriesNumerator:
-        acc: dict[int, int] = {}
-        for e1, c1 in x.terms:
-            for e2, c2 in y.terms:
-                e = e1 + e2
-                if e > bound:  # terms are sorted by degree
-                    break
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return SeriesNumerator(acc.items())
-
-    result = SeriesNumerator.one()
-    base = num
-    e = l
-    while e:
-        if e & 1:
-            result = mul(result, base)
-        e >>= 1
-        if e:
-            base = mul(base, base)
-    return result
+    if l == 0:
+        return SeriesNumerator.one()
+    if not num.terms:
+        return num
+    v, h0 = num.terms[0]
+    shift = v * l
+    if shift > bound:
+        return SeriesNumerator._trusted(())
+    l1 = l + 1
+    h = [(e - v, c) for e, c in num.terms[1:]]
+    g = [h0 ** l]
+    for j in range(1, min(bound - shift, l * (num.degree - v)) + 1):
+        acc = 0
+        for i, c in h:
+            if i > j:
+                break
+            acc += (l1 * i - j) * c * g[j - i]
+        q, rem = divmod(acc, j * h0)
+        assert not rem, f"inexact division at degree {j}"
+        g.append(q)
+    return SeriesNumerator._trusted(
+        tuple((j + shift, c) for j, c in enumerate(g) if c))
 
 
 def plus_truncate(x: TruncatedSeries | Sequence[int]) -> TruncatedSeries:
@@ -257,25 +290,28 @@ MAX_SERIES_COST = 20_000_000
 
 def _expansion_cost(num: SeriesNumerator, l: int, m: int, bound: int) -> int:
     """Upper bound on the cost of num^l / (1-t)^m through degree bound, for
-    num = 1 + R a reducible_numerator: R has T terms in degrees s..d, whose
-    coefficients sum to 2r - 1 in absolute value.  Units: 8 per coefficient
-    product of series_pow, 2 per coefficient step of expand_rational, 1 per
-    2^16 bit pairs multiplied and per 512 bits written, 1 per 32 bits held.
+    num = 1 + R a reducible_numerator: R has T terms in degrees s..d, each
+    coefficient at most r in absolute value, all of them summing to 2r - 1.
+    Units: 8 per loop step and per coefficient product of series_pow, 2 per
+    coefficient step of expand_rational, 1 per 2^16 bit pairs multiplied
+    and per 512 bits written, 1 per 32 bits held.
 
-    Through the bound num^l has at most 1 + min(l*d, bound + 1 - s) terms,
-    at most prod_i (min(l, bound // e_i) + 1) over R's exponents e_i, and at
-    most (bound + sum_i e_i)^T / (T! prod_i e_i), the volume that holds a
-    unit cube at each exponent vector; num^j has at most C(T + j, T) terms,
-    and a product of i terms by j takes i*j coefficient products.  Only R^k
-    with k <= K = min(l, bound // s) reach the bound, so a coefficient is
-    at most min((2r)^l, (2l(2r - 1))^K).  For j <= bound and k = min(bound,
-    m - 1), C(j + m - 1, m - 1) < (3(bound + m - 1)/k)^k.  Powers of at most
-    64 terms skip the costlier counts; the predictor's series are smaller.
+    series_pow makes min(bound, l*d) + 1 loop steps; each makes at most T
+    products of a factor ((l+1) i - j) h_i, below (l+1) d r, by a
+    coefficient of num^l, and one division by j.  Through the bound num^l
+    has at most 1 + min(l*d, bound + 1 - s) terms, at most
+    prod_i (min(l, bound // e_i) + 1) over R's exponents e_i, and at most
+    (bound + sum_i e_i)^T / (T! prod_i e_i), the volume that holds a unit
+    cube at each exponent vector; expand_rational makes one step per term
+    and degree.  Only R^k with k <= K = min(l, bound // s) reach the bound,
+    so a coefficient is at most min((2r)^l, (2l(2r - 1))^K).  For j <= bound
+    and k = min(bound, m - 1), C(j + m - 1, m - 1) < (3(bound + m - 1)/k)^k.
+    Powers of at most 64 terms skip the costlier term counts; the
+    predictor's series are smaller.
     """
     (s, _), (d, top) = num.terms[1], num.terms[-1]
     t = len(num.terms) - 1
     terms = 1 + min(l * d, max(0, bound + 1 - s))
-    products = 2 * l.bit_length() * terms * terms
     if terms > 64:
         prod = simplex = 1
         reach = bound
@@ -284,21 +320,15 @@ def _expansion_cost(num: SeriesNumerator, l: int, m: int, bound: int) -> int:
             simplex *= i * e
             reach += e
         terms = min(terms, prod, reach ** t // simplex)
-        # series_pow's chain: num^j squared, and times the power made so far
-        products, j, done = 0, 1, 0
-        while j <= l:
-            size = min(terms, j * d + 1, math.comb(t + j, t))
-            if l & j:
-                products += size * min(terms, done * d + 1, math.comb(t + done, t))
-                done += j
-            products += size * size
-            j *= 2
     a = 2 * top + 1
     c_bits = 1 + min(l * a.bit_length(),
                      min(l, bound // s) * ((l * a).bit_length() + 1))
+    k_bits = ((l + 1) * d * (top + 1)).bit_length()
     k = min(bound, m - 1)
     b_bits = 1 + (k * (3 * (bound + m - 1) // k + 1).bit_length() if k > 0 else 0)
-    cost = products * (8 + (c_bits * c_bits >> 16))
+    steps = 1 + min(bound, l * d)
+    cost = steps * (t + 1) * (
+        8 + (c_bits * k_bits >> 16) + ((c_bits + k_bits) >> 9))
     if m:
         steps = bound + 1 + (terms - 1) * (bound + 1 - s)
         cost += bound * (2 + (b_bits >> 9)) + steps * (

@@ -110,6 +110,11 @@ def test_series_pow_matches_repeated_mul():
        st.integers(min_value=0, max_value=7),
        st.integers(min_value=0, max_value=40))
 @settings(max_examples=60)
+@example([(2, 1), (3, -2), (5, 1)], 3, 14)  # zero constant term: v = 2
+@example([(0, -2), (1, 3)], 5, 7)  # negative constant other than -1
+@example([(1, 2), (4, -1)], 0, 5)  # l = 0
+@example([], 3, 10)  # the zero polynomial
+@example([(3, 1), (4, 1)], 4, 11)  # v*l = 12 is past the bound
 def test_series_pow_is_the_exact_power_cut_at_the_bound(pairs, l, bound):
     num = SeriesNumerator(pairs)
     exact = SeriesNumerator.one()
@@ -138,34 +143,30 @@ def test_expand_power_is_the_composition(parts, l, m, bound):
 
 
 def _counted_cost(num, l, m, bound):
-    """The cost _expansion_cost bounds, counted on a run: series_pow's
-    coefficient products and the largest coefficient it meets, the steps
-    of expand_rational and its largest binomial, in the same units."""
-    products, c_bits = 0, 1
-
-    def mul(x, y):
-        nonlocal products, c_bits
-        acc = {}
-        for e1, c1 in x.terms:
-            for e2, c2 in y.terms:
-                if e1 + e2 <= bound:
-                    products += 1
-                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-        out = SeriesNumerator(acc.items())
-        c_bits = max([c_bits] + [abs(c).bit_length() for _, c in out.terms])
-        return out
-
-    result, base, e = SeriesNumerator.one(), num, l
-    while e:
-        if e & 1:
-            result = mul(result, base)
-        e >>= 1
-        if e:
-            base = mul(base, base)
+    """The cost _expansion_cost bounds, counted on a run: series_pow's loop
+    steps and coefficient products, with the largest coefficient and factor
+    they meet, then the steps of expand_rational and its largest binomial,
+    in the same units.  num is a reducible numerator, so h = num and h_0 = 1
+    in Miller's recurrence."""
+    g, steps, products, k_bits = [1], 1, 0, 1
+    for j in range(1, min(bound, l * num.degree) + 1) if l else ():
+        acc = 0
+        for i, c in num.terms[1:]:
+            if i <= j:
+                products += 1
+                factor = ((l + 1) * i - j) * c
+                k_bits = max(k_bits, abs(factor).bit_length())
+                acc += factor * g[j - i]
+        steps += 1
+        g.append(acc // j)
+    power = SeriesNumerator(enumerate(g))
+    assert power == series_pow(num, l, bound)
+    c_bits = max(abs(c).bit_length() for c in g)
+    cost = (steps + products) * (
+        8 + (c_bits * k_bits >> 16) + ((c_bits + k_bits) >> 9))
     b_bits = max(binom(j + m - 1, m - 1).bit_length() for j in range(bound + 1))
-    cost = products * (8 + (c_bits * c_bits >> 16))
     if m:
-        steps = sum(bound + 1 - e for e, _ in result.terms)
+        steps = sum(bound + 1 - e for e, _ in power.terms)
         cost += bound * (2 + (b_bits >> 9)) + steps * (
             2 + ((c_bits + b_bits) >> 9) + (c_bits * b_bits >> 16))
     return cost + ((bound + 1) * (4 * c_bits + 2 * b_bits + 1024) >> 5)
@@ -174,6 +175,7 @@ def _counted_cost(num, l, m, bound):
 @given(_SMALL_PARTS, st.integers(0, 300), st.integers(0, 3000), st.integers(0, 300))
 @settings(max_examples=60, deadline=None)
 @example([1, 1], 64, 0, 128)  # (1-t)^(2j): every term count is exact
+@example([10000, 10000], 2, 0, 10000)  # 10,001 loop steps, one product
 def test_cost_estimate_bounds_the_counted_cost(parts, l, m, bound):
     """Every bound the estimate takes (terms, products, coefficient and
     binomial bits) holds on the run, in the fast form (at most 64 terms)

@@ -424,6 +424,32 @@ class TestCli:
             assert time.perf_counter() - start < 1.0
             assert "would cost" in capsys.readouterr().err
 
+    def test_high_power_with_a_linear_factor_runs(self, capsys):
+        """(1 - t)^300 (1 - t^2000)^300 through degree 2001 is one pass of
+        2,002 steps, which the estimate admits."""
+        start = time.perf_counter()
+        assert cli.main(["predict", "--n", "4", "--l", "300",
+                         "--partition", "2000,1"]) == 0
+        assert time.perf_counter() - start < 5.0
+        assert "fills = yes" in capsys.readouterr().out
+
+    def test_json_report_past_the_digit_limit_exits_2(self, capsys):
+        """An a_seq of 16,442 integers of up to 1,900 digits is refused as
+        JSON, by its size, before it is rendered; the text report, which
+        prints none of it, still runs."""
+        argv = ["predict", "--n", "1795", "--l", "315",
+                "--partition", "5272,4102,5272,1795"]
+        start = time.perf_counter()
+        assert cli.main(argv + ["--json"]) == 2
+        assert time.perf_counter() - start < 5.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"more than {cli.MAX_REPORT_DIGITS}" in captured.err
+        digits = int(captured.err.split("about ")[1].split(" digits")[0])
+        assert 31_000_000 < digits < 32_000_000
+        assert cli.main(argv) == 0
+        assert "predicted" in capsys.readouterr().out
+
     def test_report_numbers_past_the_print_limit_exit_2(self, capsys):
         # lfactor and redforms reach it once their threshold is a bisection
         for command in ("lfactor", "redforms"):

@@ -29,12 +29,12 @@ EXIT_VALIDATION = 2
 EXIT_DISAGREEMENT = 3
 EXIT_GUARD = 4
 
-# Largest --truncate accepted: the series are lists of big integers built
-# term by term, and 10^4 degrees already take about half a second.
+# Largest --truncate accepted; within it expand_power's cost guard and
+# MAX_REPORT_DIGITS bound the work and the output.
 MAX_TRUNCATE = 10_000
 
-# Most decimal digits a `predict --json` report may hold, a_seq included:
-# about 2 MB of JSON, which renders in about a tenth of a second.
+# Most decimal digits a `predict --json` report or a printed `series` may
+# hold: about 2 MB of JSON, which renders in about a tenth of a second.
 MAX_REPORT_DIGITS = 2_000_000
 
 
@@ -59,6 +59,17 @@ def _check_printable(numbers, what: str, flags: str) -> None:
             f"lower {flags}")
 
 
+def _check_digits(numbers, what: str, flags: str) -> None:
+    """Refuse to print integers of more than MAX_REPORT_DIGITS digits in
+    all, before any is rendered: an integer of b bits has at most
+    (b * 1234 >> 12) + 1 digits, since log10(2) < 1234 / 4096."""
+    digits = sum((abs(v).bit_length() * 1234 >> 12) + 1 for v in numbers)
+    if digits > MAX_REPORT_DIGITS:
+        raise ValueError(
+            f"{what} would hold about {digits} digits, more than "
+            f"{MAX_REPORT_DIGITS}; lower {flags}")
+
+
 def _check_report(rep: PredictionReport, as_json: bool = False) -> None:
     """Refuse a report that holds an unprintable number or, as JSON, more
     than MAX_REPORT_DIGITS digits, before any of it is rendered."""
@@ -66,14 +77,8 @@ def _check_report(rep: PredictionReport, as_json: bool = False) -> None:
     numbers = [v for v in doc.values() if type(v) is int] + doc["a_seq"]
     _check_printable(numbers, "a number in the report", "--n or the degree")
     if as_json:
-        # an integer of b bits has at most (b * 1234 >> 12) + 1 digits,
-        # since log10(2) < 1234 / 4096
-        digits = sum((abs(v).bit_length() * 1234 >> 12) + 1 for v in numbers)
-        if digits > MAX_REPORT_DIGITS:
-            raise ValueError(
-                f"the JSON report would hold about {digits} digits, more "
-                f"than {MAX_REPORT_DIGITS}; lower --n, --l or the degree, "
-                f"or leave out --json")
+        _check_digits(numbers, "the JSON report",
+                      "--n, --l or the degree, or leave out --json")
 
 
 def _report_lines(rep: PredictionReport) -> list[str]:
@@ -145,6 +150,7 @@ def cmd_series(args) -> int:
         series = plus_truncate(series)
     _check_printable(series.coeffs, f"a coefficient through degree {bound}",
                      "--n, --l or --truncate")
+    _check_digits(series.coeffs, "the series", "--n, --l or --truncate")
     print(json.dumps(list(series.coeffs)))
     return EXIT_OK
 

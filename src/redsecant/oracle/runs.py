@@ -713,6 +713,14 @@ def froeberg_oracle_r2(n: int, l: int, k: int, d: int,
     # for two parts the numerator is (1 - t^k)(1 - t^(d-k))
     series = plus_truncate(expand_power([d - k, k], l, n, d)).coeffs
 
+    def sample(trial: int):
+        return [random_form(n, e, cfg.p, _rng(cfg.seed, _TAG_FROEBERG, n, trial, i))
+                for i, e in enumerate(degs)]
+
+    # the driver's column guard runs first, before the O(l d) loop below
+    (hilbert,), (used,), _ = _levels_over_trials(
+        sample, (n,), range(d + 1), 1, f"generic-forms run (n={n}, d={d})",
+        cfg, (series,))
     h = [grade_size(n, j) for j in range(d + 1)]
     for e in degs:
         h = [max(0, h[j] - (h[j - e] if j >= e else 0)) for j in range(d + 1)]
@@ -723,14 +731,6 @@ def froeberg_oracle_r2(n: int, l: int, k: int, d: int,
             f"disagree for degrees {degs} in {n} variables: "
             f"{recursive} vs {series}"
         )
-
-    def sample(trial: int):
-        return [random_form(n, e, cfg.p, _rng(cfg.seed, _TAG_FROEBERG, n, trial, i))
-                for i, e in enumerate(degs)]
-
-    (hilbert,), (used,), _ = _levels_over_trials(
-        sample, (n,), range(d + 1), 1, f"generic-forms run (n={n}, d={d})",
-        cfg, (series,))
     return FroebergCheck(
         n=n,
         l=l,

@@ -6,11 +6,10 @@ a dense coefficient window c_0..c_D (everything after dividing by (1-t)^n).
 All arithmetic is exact big-integer; nothing in this module is modular or
 floating point.
 
-Powers of a numerator are built in one pass by J.C.P. Miller's recurrence
-for the power of a series (Knuth, TAOCP Vol. 2, 3rd ed., section 4.7): the
-coefficient of t^j of num^l follows from the j coefficients before it with
-at most one product per term of num, however large l is.  Its one division
-per degree is exact (see series_pow), so no rational number appears.
+Powers of a numerator and their quotients by (1-t)^m come from one pass of
+J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, 3rd ed., section 4.7),
+extended to the quotient (_expand); its one division per degree is exact,
+so no rational number appears.
 """
 
 from __future__ import annotations
@@ -180,30 +179,6 @@ class SeriesNumerator:
         return f"SeriesNumerator({list(self.terms)!r})"
 
 
-def expand_rational(num: SeriesNumerator, n: int, bound: int) -> TruncatedSeries:
-    """Coefficients of num / (1-t)^n through the given degree bound.
-
-    Convolves the sparse numerator with the expansion of 1/(1-t)^n, whose
-    j-th coefficient is C(j+n-1, n-1); each of those is computed once, from
-    the one before.  n = 0 means no denominator at all.
-    """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if bound < 0:
-        raise ValueError(f"need bound >= 0, got {bound}")
-    if n == 0:
-        return num.as_series(bound)
-    binomials = [1] * (bound + 1)
-    for j in range(1, bound + 1):
-        binomials[j] = binomials[j - 1] * (j + n - 1) // j
-    out = [0] * (bound + 1)
-    for e, c in num.terms:
-        if e > bound:
-            continue
-        out[e:] = [o + c * b for o, b in zip(out[e:], binomials)]
-    return TruncatedSeries._trusted(tuple(out))
-
-
 def reducible_numerator(partition: PartitionLike) -> SeriesNumerator:
     """Numerator of the tangent-ideal quotient's Hilbert series.
 
@@ -220,49 +195,6 @@ def reducible_numerator(partition: PartitionLike) -> SeriesNumerator:
     terms.extend((d - di, -len(list(same))) for di, same in groupby(part.parts))
     terms.append((d, part.r - 1))
     return SeriesNumerator._trusted(tuple(terms))
-
-
-def series_pow(num: SeriesNumerator, l: int, bound: int) -> SeriesNumerator:
-    """The l-th power of num with every term above degree bound dropped.
-
-    Miller's recurrence: write num = t^v h with h_0 != 0, and g = h^l.  Then
-    h g' = l h' g, and its coefficient of t^(j-1) reads, for j >= 1,
-
-        j h_0 g_j = sum_{i=1}^{min(j, deg h)} ((l+1) i - j) h_i g_{j-i},
-
-    so g_0 = h_0^l and each g_j follows from those before it, with one
-    product per term of h.  The division by j h_0 is exact: the integer
-    coefficients of h^l satisfy the identity, and h_0 != 0 leaves each g_j
-    no other solution, so the integer sum on the right is j h_0 times the
-    integer g_j.  g_j vanishes past l deg h, and num^l = t^(v l) g, so the
-    pass stops at degree min(bound - v l, l deg h).
-    """
-    if l < 0:
-        raise ValueError(f"need l >= 0, got {l}")
-    if bound < 0:
-        raise ValueError(f"need bound >= 0, got {bound}")
-    if l == 0:
-        return SeriesNumerator.one()
-    if not num.terms:
-        return num
-    v, h0 = num.terms[0]
-    shift = v * l
-    if shift > bound:
-        return SeriesNumerator._trusted(())
-    l1 = l + 1
-    h = [(e - v, c) for e, c in num.terms[1:]]
-    g = [h0 ** l]
-    for j in range(1, min(bound - shift, l * (num.degree - v)) + 1):
-        acc = 0
-        for i, c in h:
-            if i > j:
-                break
-            acc += (l1 * i - j) * c * g[j - i]
-        q, rem = divmod(acc, j * h0)
-        assert not rem, f"inexact division at degree {j}"
-        g.append(q)
-    return SeriesNumerator._trusted(
-        tuple((j + shift, c) for j, c in enumerate(g) if c))
 
 
 def plus_truncate(x: TruncatedSeries | Sequence[int]) -> TruncatedSeries:
@@ -283,64 +215,114 @@ def plus_truncate(x: TruncatedSeries | Sequence[int]) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-# Largest cost of one expand_power, in _expansion_cost's units (40-70 ns
-# each on a 2-vCPU Xeon VM): about a second, and under 80 MB of coefficients.
+def _expand(num: SeriesNumerator, l: int, m: int, bound: int) -> tuple[int, ...]:
+    """Coefficients of num^l / (1-t)^m of degrees 0 through bound.
+
+    Write num = t^v h with h_0 != 0 (h = 1 when l = 0); then num^l / (1-t)^m
+    = t^(v l) f, and f = h^l / (1-t)^m satisfies h (1-t) f' = w f with
+    w = l h' (1-t) + m h (for m = 0 leave out the (1-t) factors).  With
+    u = h (1-t) (u = h when m = 0), its coefficient of t^(j-1) reads
+
+        j h_0 f_j = sum_{k >= 1} (p_k - j u_k) f_(j-k),   p_k = w_(k-1) + k u_k,
+
+    at most two nonzero (p_k, u_k) per term of h, one when m = 0.  So f_0 =
+    h_0^l, and the division by j h_0 is exact: f has integer coefficients
+    (h^l and 1/(1-t)^m do), they satisfy the identity, and j h_0 != 0 fixes
+    f_j from those before it.  When m = 0 the pass stops past l deg h.
+    """
+    terms = num.terms if l else ((0, 1),)
+    if not terms or terms[0][0] * l > bound:
+        return (0,) * (bound + 1)
+    v, h0 = terms[0]
+    factors: list[list[int]] = []  # [k, p_k, u_k], k ascending
+    for i, c in terms:
+        i -= v
+        if factors and factors[-1][0] == i:  # i - 1 is a degree of h too
+            factors[-1][1] += (l + 1) * i * c
+            factors[-1][2] += c
+        else:
+            factors.append([i, (l + 1) * i * c, c])
+        if m:
+            factors.append([i + 1, (m - (l + 1) * i - 1) * c, -c])
+    factors = [t for t in factors if t[0] and (t[1] or t[2])]
+    shift = v * l
+    last = bound - shift if m else min(bound - shift, l * (terms[-1][0] - v))
+    f = [h0 ** l]
+    for j in range(1, last + 1):
+        acc = 0
+        for k, p, u in factors:
+            if k > j:
+                break
+            acc += (p - j * u) * f[j - k]
+        q, rem = divmod(acc, j * h0)
+        assert not rem, f"inexact division at degree {j}"
+        f.append(q)
+    return (0,) * shift + tuple(f) + (0,) * (bound - shift - last)
+
+
+def series_pow(num: SeriesNumerator, l: int, bound: int) -> SeriesNumerator:
+    """The l-th power of num with every term above degree bound dropped: the
+    m = 0 case of _expand, through degree min(bound, l deg num), in at most
+    one step of one product per term of num for each degree."""
+    if min(l, bound) < 0:
+        raise ValueError(f"need l and bound >= 0, got {l} and {bound}")
+    power = _expand(num, l, 0, min(bound, l * num.degree))
+    return SeriesNumerator._trusted(tuple((j, c) for j, c in enumerate(power) if c))
+
+
+def expand_rational(num: SeriesNumerator, n: int, bound: int) -> TruncatedSeries:
+    """Coefficients of num / (1-t)^n through the given degree bound: the
+    l = 1 case of _expand.  n = 0 means no denominator at all."""
+    if min(n, bound) < 0:
+        raise ValueError(f"need n and bound >= 0, got {n} and {bound}")
+    return TruncatedSeries._trusted(_expand(num, 1, n, bound))
+
+
+# Largest cost of one expand_power, in _expansion_cost's units.  Timed on
+# eleven expansions on a 2-vCPU Xeon VM a unit took 2-16 ns (the fewest for
+# long coefficients held, the most for many small products), so this admits
+# at most about a third of a second of work, and under 80 MB of coefficients.
 MAX_SERIES_COST = 20_000_000
 
 
 def _expansion_cost(num: SeriesNumerator, l: int, m: int, bound: int) -> int:
-    """Upper bound on the cost of num^l / (1-t)^m through degree bound, for
-    num = 1 + R a reducible_numerator: R has T terms in degrees s..d, each
-    coefficient at most r in absolute value, all of them summing to 2r - 1.
-    Units: 8 per loop step and per coefficient product of series_pow, 2 per
-    coefficient step of expand_rational, 1 per 2^16 bit pairs multiplied
-    and per 512 bits written, 1 per 32 bits held.
+    """Upper bound on the cost of _expand(num, l, m, bound), for num = 1 + R
+    a reducible_numerator: R has T terms in degrees s..d, each coefficient
+    at most r in absolute value, all of them summing to 2r - 1.  Units: 8
+    per loop step and per coefficient product, 1 per 2^16 bit pairs
+    multiplied and per 512 bits written, 1 per 32 bits held.
 
-    series_pow makes min(bound, l*d) + 1 loop steps; each makes at most T
-    products of a factor ((l+1) i - j) h_i, below (l+1) d r, by a
-    coefficient of num^l, and one division by j.  Through the bound num^l
-    has at most 1 + min(l*d, bound + 1 - s) terms, at most
-    prod_i (min(l, bound // e_i) + 1) over R's exponents e_i, and at most
-    (bound + sum_i e_i)^T / (T! prod_i e_i), the volume that holds a unit
-    cube at each exponent vector; expand_rational makes one step per term
-    and degree.  Only R^k with k <= K = min(l, bound // s) reach the bound,
-    so a coefficient is at most min((2r)^l, (2l(2r - 1))^K).  For j <= bound
-    and k = min(bound, m - 1), C(j + m - 1, m - 1) < (3(bound + m - 1)/k)^k.
-    Powers of at most 64 terms skip the costlier term counts; the
-    predictor's series are smaller.
+    The pass makes bound + 1 steps (min(bound, l d) + 1 when m = 0), each
+    of one division and at most 2T + 1 products (T when m = 0) of a factor
+    p_k - j u_k, below r (2 (l + 1)(d + 1) + m + 2 bound), by a coefficient
+    f_j.  Only R^k with k <= min(l, bound // s) reach the bound, so a
+    coefficient of num^l has at most 1 + min(l bits(2r - 1),
+    min(l, bound // s) (bits(l (2r - 1)) + 1)) bits; with k = min(bound,
+    m - 1), C(j + m - 1, m - 1) < (3(bound + m - 1)/k)^k for j <= bound;
+    and f_j sums at most bound + 1 products of the two.
     """
     (s, _), (d, top) = num.terms[1], num.terms[-1]
-    t = len(num.terms) - 1
-    terms = 1 + min(l * d, max(0, bound + 1 - s))
-    if terms > 64:
-        prod = simplex = 1
-        reach = bound
-        for i, (e, _) in enumerate(num.terms[1:], 1):
-            prod *= min(l, bound // e) + 1
-            simplex *= i * e
-            reach += e
-        terms = min(terms, prod, reach ** t // simplex)
     a = 2 * top + 1
-    c_bits = 1 + min(l * a.bit_length(),
+    f_bits = 1 + min(l * a.bit_length(),
                      min(l, bound // s) * ((l * a).bit_length() + 1))
-    k_bits = ((l + 1) * d * (top + 1)).bit_length()
-    k = min(bound, m - 1)
-    b_bits = 1 + (k * (3 * (bound + m - 1) // k + 1).bit_length() if k > 0 else 0)
-    steps = 1 + min(bound, l * d)
-    cost = steps * (t + 1) * (
-        8 + (c_bits * k_bits >> 16) + ((c_bits + k_bits) >> 9))
     if m:
-        steps = bound + 1 + (terms - 1) * (bound + 1 - s)
-        cost += bound * (2 + (b_bits >> 9)) + steps * (
-            2 + ((c_bits + b_bits) >> 9) + (c_bits * b_bits >> 16))
-    return cost + ((bound + 1) * (4 * c_bits + 2 * b_bits + 1024) >> 5)
+        k = min(bound, m - 1)
+        b_bits = 1 + (k * (3 * (bound + m - 1) // k + 1).bit_length() if k > 0 else 0)
+        f_bits += b_bits + (bound + 1).bit_length()
+    k_bits = ((top + 1) * (2 * (l + 1) * (d + 1) + m + 2 * bound)).bit_length()
+    steps = bound + 1 if m else min(bound, l * d) + 1
+    cost = steps * len(num.terms) * (2 if m else 1) * (
+        8 + (f_bits * k_bits >> 16) + ((f_bits + k_bits) >> 9))
+    return cost + ((steps * f_bits + (bound + 1) * 1024) >> 5)
 
 
 def expand_power(partition: PartitionLike, l: int, m: int,
                  bound: int) -> TruncatedSeries:
     """reducible_numerator(partition)^l / (1-t)^m through degree bound (m = 0:
-    the power itself).  Raises ValueError before series_pow starts when
-    _expansion_cost is above MAX_SERIES_COST."""
+    the power itself), by one pass of _expand.  Raises ValueError before
+    the pass starts when _expansion_cost is above MAX_SERIES_COST."""
+    if min(l, m, bound) < 0:
+        raise ValueError(f"need l, m and bound >= 0, got {l}, {m} and {bound}")
     num = reducible_numerator(partition)
     cost = _expansion_cost(num, l, m, bound)
     if cost > MAX_SERIES_COST:
@@ -348,7 +330,7 @@ def expand_power(partition: PartitionLike, l: int, m: int,
             f"expanding the {l}-th power of the numerator over (1-t)^{m} "
             f"through degree {bound} would cost about {cost} units, more "
             f"than {MAX_SERIES_COST}; lower n, l or the degree")
-    return expand_rational(series_pow(num, l, bound), m, bound)
+    return TruncatedSeries._trusted(_expand(num, l, m, bound))
 
 
 def artinian_bound(l: int, d: int) -> int:

@@ -48,6 +48,10 @@ CSV_COLUMNS = (
 )
 
 
+# Largest g_check_bound: remark_region_scan visits about bound^5 / 12 cells
+# at 10-15 us each, 7,136 cells (0.07 s) at 12 and 415,400 (about 6 s) at 24.
+MAX_G_CHECK_BOUND = 24
+
 # BLAS thread counts a sweep worker starts with when the user set none.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -96,7 +100,7 @@ class SweepConfig:
     family predictor, and "n3" restricts to the cells with n = 3, l = 2.
     g_check_bound, when set, appends the defectivity-implication tallies
     over the region n < l, 2s <= d1 < (n-1)(s-1) with n, l, s up to the
-    bound to the summary.
+    bound (3 to MAX_G_CHECK_BOUND) to the summary.
     """
 
     n_range: tuple[int, int]
@@ -129,6 +133,8 @@ class SweepConfig:
             raise ValueError(f"need workers >= 1, got {self.workers}")
         if self.out_format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.out_format!r}")
+        if self.g_check_bound is not None:
+            _check_g_check_bound(self.g_check_bound)
 
 
 @dataclass(frozen=True)
@@ -254,15 +260,20 @@ def _run_cell(args) -> SweepRow:
     return verify_case(inst, oracle_cfg, family, predictor_only)
 
 
+def _check_g_check_bound(bound: int) -> None:
+    if not 3 <= bound <= MAX_G_CHECK_BOUND:
+        raise ValueError(f"need 3 <= g-check bound <= {MAX_G_CHECK_BOUND}, got {bound}")
+
+
 def remark_region_scan(bound: int) -> dict:
     """Defectivity-implication tallies on the open region up to `bound`.
 
     Scans n < l with n, l, s <= bound and 2s <= d1 < (n-1)(s-1), running the
     g-test on the spread partition [d1, 1, ..., 1].  Returns tallies plus
-    the list of failing cells (expected empty).
+    the list of failing cells (expected empty).  Refuses a bound outside
+    3..MAX_G_CHECK_BOUND before scanning.
     """
-    if bound < 3:
-        raise ValueError(f"need bound >= 3, got {bound}")
+    _check_g_check_bound(bound)
     total = positive = nonpositive = holds = 0
     failures: list[dict] = []
     for n in range(3, bound + 1):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 import warnings
 from functools import reduce
 from unittest import mock
@@ -389,6 +390,11 @@ def _reference_rref(matrix, p):
     return np.array(rows[:rank], np.int64).reshape(rank, ncols)
 
 
+def _leads(matrix, p):
+    """Leading columns of the reduced row echelon form, ascending."""
+    return [int(np.flatnonzero(row)[0]) for row in _reference_rref(matrix, p)]
+
+
 def _reference_rank(matrix, p):
     return len(_reference_rref(matrix, p))
 
@@ -421,6 +427,12 @@ def _seeded_feed(gens, j, p):
     n = usable[0].n
     seed = [g.coeffs[::-1] for g in usable if g.degree == e0]
     basis = _reference_rref(seed, p)
+    # the accumulator holds its basis rows in the order their leads are
+    # met, seed row by seed row, which at small p need not be ascending
+    met: list[int] = []
+    for k in range(1, len(seed) + 1):
+        met += [c for c in _leads(seed[:k], p) if c not in met]
+    basis = basis[[_leads(seed, p).index(c) for c in met]]
     pivots = grade_size(n, e0) - 1 - (basis != 0).argmax(axis=1)
     leads, unkept = set(), []
     for m in exponents(n, j - e0).tolist():
@@ -1384,7 +1396,17 @@ class TestFroebergBridge:
 
         monkeypatch.setattr(runs, "random_form", refuse)
         with pytest.raises(ValueError, match="would cost"):
-            froeberg_oracle_r2(4, 3000, 1, 20001, PrimeFieldConfig())
+            froeberg_oracle_r2(4, 300_000, 1, 20001, PrimeFieldConfig())
+
+    def test_over_wide_piece_is_refused_before_the_recursive_reference(self):
+        """(1 - t^5000)^1000 / (1-t)^4 through degree 10000 expands at once,
+        but the degree-10000 piece in 4 variables has 166,766,685,001 columns:
+        the guard raises before the recursive reference's 1,000 passes over
+        10,001 degrees (seconds of work) start."""
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardExceeded, match="166766685001 columns"):
+            froeberg_oracle_r2(4, 500, 5000, 10000, PrimeFieldConfig())
+        assert time.perf_counter() - start < 1.0
 
 
 class TestFrozenFullHilbert:

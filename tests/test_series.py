@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,22 @@ def _one_minus_t_power(k: int) -> SeriesNumerator:
     return SeriesNumerator((j, (-1) ** j * binom(k, j)) for j in range(k + 1))
 
 
+def _convolved(num: SeriesNumerator, n: int, bound: int) -> TruncatedSeries:
+    """Reference: num / (1-t)^n through the bound, by convolving num with the
+    expansion of 1/(1-t)^n, whose j-th coefficient C(j+n-1, n-1) is computed
+    once, from the one before (n = 0: num itself)."""
+    if n == 0:
+        return num.as_series(bound)
+    binomials = [1] * (bound + 1)
+    for j in range(1, bound + 1):
+        binomials[j] = binomials[j - 1] * (j + n - 1) // j
+    out = [0] * (bound + 1)
+    for e, c in num.terms:
+        if e <= bound:
+            out[e:] = [o + c * b for o, b in zip(out[e:], binomials)]
+    return TruncatedSeries(out)
+
+
 def test_truncated_series_basics():
     s = TruncatedSeries((1, 2, 3))
     assert s.coeff(1) == 2
@@ -67,6 +85,21 @@ def test_expand_rational_inverts_the_denominator():
         expanded = expand_rational(num, n, 12)
         back = _mul_numerator(expanded, _one_minus_t_power(n))
         assert back.coeffs == num.as_series(12).coeffs
+
+
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(-4, 4)), max_size=5),
+       st.integers(min_value=0, max_value=8),
+       st.integers(min_value=0, max_value=30))
+@settings(max_examples=60)
+@example([(2, 1), (3, -2), (6, 1)], 3, 10)  # zero constant term: v = 2
+@example([(0, -3), (1, 2)], 4, 8)  # negative constant other than -1
+@example([(0, 2), (5, -1)], 0, 9)  # n = 0: the numerator itself
+@example([(0, 1), (2, -1), (9, 1)], 2, 5)  # a term past the bound
+@example([(7, 3)], 3, 4)  # every term past the bound
+@example([], 3, 5)  # the zero polynomial
+def test_expand_rational_matches_the_convolution(pairs, n, bound):
+    num = SeriesNumerator(pairs)
+    assert expand_rational(num, n, bound) == _convolved(num, n, bound)
 
 
 def test_reducible_numerator_terms():
@@ -117,10 +150,7 @@ def test_series_pow_matches_repeated_mul():
 @example([(3, 1), (4, 1)], 4, 11)  # v*l = 12 is past the bound
 def test_series_pow_is_the_exact_power_cut_at_the_bound(pairs, l, bound):
     num = SeriesNumerator(pairs)
-    exact = SeriesNumerator.one()
-    for _ in range(l):
-        exact = exact.mul(num)
-    cut = SeriesNumerator((e, c) for e, c in exact.terms if e <= bound)
+    cut = SeriesNumerator((e, c) for e, c in _power(num, l).terms if e <= bound)
     assert series_pow(num, l, bound) == cut
 
 
@@ -135,71 +165,90 @@ def test_series_pow_validation():
 _SMALL_PARTS = st.lists(st.integers(min_value=1, max_value=30), min_size=2, max_size=4)
 
 
+def _power(num: SeriesNumerator, l: int) -> SeriesNumerator:
+    """Reference: num^l by repeated multiplication."""
+    out = SeriesNumerator.one()
+    for _ in range(l):
+        out = out.mul(num)
+    return out
+
+
 @given(_SMALL_PARTS, st.integers(0, 8), st.integers(0, 9), st.integers(0, 40))
 @settings(max_examples=60)
 def test_expand_power_is_the_composition(parts, l, m, bound):
-    num = series_pow(reducible_numerator(parts), l, bound)
-    assert expand_power(parts, l, m, bound) == expand_rational(num, m, bound)
+    num = _power(reducible_numerator(parts), l)
+    assert expand_power(parts, l, m, bound) == _convolved(num, m, bound)
 
 
 def _counted_cost(num, l, m, bound):
-    """The cost _expansion_cost bounds, counted on a run: series_pow's loop
-    steps and coefficient products, with the largest coefficient and factor
-    they meet, then the steps of expand_rational and its largest binomial,
-    in the same units.  num is a reducible numerator, so h = num and h_0 = 1
-    in Miller's recurrence."""
-    g, steps, products, k_bits = [1], 1, 0, 1
-    for j in range(1, min(bound, l * num.degree) + 1) if l else ():
+    """The cost _expansion_cost bounds, counted on a run: the loop steps and
+    coefficient products of the recurrence, with the largest coefficient
+    and factor they meet, in the same units.  num is a reducible numerator,
+    so v = 0 and h_0 = 1; the recurrence's factors p_k - j u_k are built
+    here from u = h (1-t) and w = l h' (1-t) + m h (h^l and l h' for m = 0),
+    with p_k = w_(k-1) + k u_k."""
+    h = dict(num.terms) if l else {0: 1}
+    u = {k: h.get(k, 0) - (h.get(k - 1, 0) if m else 0) for k in range(max(h) + 2)}
+    w = {k: l * ((k + 1) * h.get(k + 1, 0) - (k * h.get(k, 0) if m else 0))
+         + m * h.get(k, 0) for k in range(max(h) + 2)}
+    factors = [(k, w[k - 1] + k * u[k], u[k]) for k in range(1, max(h) + 2)
+               if w[k - 1] + k * u[k] or u[k]]
+    f, products, k_bits = [1], 0, 0
+    for j in range(1, (bound if m else min(bound, l * max(h))) + 1):
         acc = 0
-        for i, c in num.terms[1:]:
-            if i <= j:
+        for k, p, u_k in factors:
+            if k <= j:
                 products += 1
-                factor = ((l + 1) * i - j) * c
-                k_bits = max(k_bits, abs(factor).bit_length())
-                acc += factor * g[j - i]
-        steps += 1
-        g.append(acc // j)
-    power = SeriesNumerator(enumerate(g))
-    assert power == series_pow(num, l, bound)
-    c_bits = max(abs(c).bit_length() for c in g)
+                factor = p - j * u_k
+                k_bits = max(k_bits, factor.bit_length())
+                acc += factor * f[j - k]
+        f.append(acc // j)
+    assert tuple(f) == series._expand(num, l, m, bound)[:len(f)]
+    f_bits = max(abs(c).bit_length() for c in f)
+    steps = len(f)
     cost = (steps + products) * (
-        8 + (c_bits * k_bits >> 16) + ((c_bits + k_bits) >> 9))
-    b_bits = max(binom(j + m - 1, m - 1).bit_length() for j in range(bound + 1))
-    if m:
-        steps = sum(bound + 1 - e for e, _ in power.terms)
-        cost += bound * (2 + (b_bits >> 9)) + steps * (
-            2 + ((c_bits + b_bits) >> 9) + (c_bits * b_bits >> 16))
-    return cost + ((bound + 1) * (4 * c_bits + 2 * b_bits + 1024) >> 5)
+        8 + (f_bits * k_bits >> 16) + ((f_bits + k_bits) >> 9))
+    return cost + ((steps * f_bits + (bound + 1) * 1024) >> 5)
 
 
 @given(_SMALL_PARTS, st.integers(0, 300), st.integers(0, 3000), st.integers(0, 300))
 @settings(max_examples=60, deadline=None)
-@example([1, 1], 64, 0, 128)  # (1-t)^(2j): every term count is exact
-@example([10000, 10000], 2, 0, 10000)  # 10,001 loop steps, one product
+@example([1, 1], 64, 0, 128)  # (1-t)^128: every step has its products
+@example([1, 1], 64, 3000, 300)  # (1-t)^128 / (1-t)^3000, long binomials
+@example([10000, 10000], 2, 0, 10000)  # 10,001 loop steps, two products
 def test_cost_estimate_bounds_the_counted_cost(parts, l, m, bound):
-    """Every bound the estimate takes (terms, products, coefficient and
-    binomial bits) holds on the run, in the fast form (at most 64 terms)
-    and the tight one."""
+    """Every bound the estimate takes (steps, products, coefficient and
+    factor bits) holds on the run."""
     num = reducible_numerator(parts)
     assert series._expansion_cost(num, l, m, bound) >= _counted_cost(num, l, m, bound)
 
 
+# (1 - t)^299996 (1 - t^20000)^300000 through degree 20001: its coefficients
+# reach C(299996, 20000), of 105,999 bits, so the pass would hold over 10^9 bits
+HUGE_POWER = ([20000, 1], 300_000, 4, 20001)
+
+
 def test_oversized_expansions_are_refused_before_they_start(monkeypatch):
     """predict, predicted_hilbert and expand_power share one guard, which
-    raises before series_pow or expand_rational runs."""
+    raises before the recurrence runs."""
     def refuse(*args):
         raise AssertionError("the expansion started")
 
-    monkeypatch.setattr(series, "series_pow", refuse)
-    monkeypatch.setattr(series, "expand_rational", refuse)
-    assert series._expansion_cost(reducible_numerator([20000, 1]), 3000, 4,
-                                  20001) > MAX_SERIES_COST
+    parts, l, m, bound = HUGE_POWER
+    # the coefficient of t^20000 alone has over 10^5 bits, and the pass
+    # makes bound + 1 steps
+    assert binom(l - m, parts[0]).bit_length() * (bound + 1) > 2 * 10 ** 9
+    monkeypatch.setattr(series, "_expand", refuse)
+    assert series._expansion_cost(reducible_numerator(parts), l, m,
+                                  bound) > MAX_SERIES_COST
+    start = time.perf_counter()
     with pytest.raises(ValueError, match="would cost"):
-        expand_power([20000, 1], 3000, 4, 20001)
+        expand_power(parts, l, m, bound)
     with pytest.raises(ValueError, match="would cost"):
-        predicted_hilbert(4, 3000, [20000, 1])
+        predicted_hilbert(m, l, parts)
     with pytest.raises(ValueError, match="would cost"):
-        predict(ProblemInstance(4, 3000, Partition([20000, 1])))
+        predict(ProblemInstance(m, l, Partition(parts)))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_expand_power_validation():

@@ -271,6 +271,20 @@ def test_remark_region_scan_small_bound():
         remark_region_scan(2)
 
 
+def test_remark_region_scan_refuses_past_its_limit():
+    """Bound 100 would visit about 7.5 * 10^8 cells, hours of work: it is
+    refused before the scan, as a sweep's g_check_bound is before the
+    sweep; the benchmark's bound 12 still scans."""
+    start = time.perf_counter()
+    for bound in (100, workbench.MAX_G_CHECK_BOUND + 1):
+        with pytest.raises(ValueError, match="g-check bound"):
+            remark_region_scan(bound)
+        with pytest.raises(ValueError, match="g-check bound"):
+            small_config(predictor_only=True, g_check_bound=bound)
+    assert time.perf_counter() - start < 1.0
+    assert remark_region_scan(12)["region_cells"] == 7136
+
+
 class TestCli:
     def test_predict_human_output(self, capsys):
         assert cli.main(["predict", "--n", "4", "--l", "3",
@@ -368,16 +382,21 @@ class TestCli:
                          "--truncate", str(cli.MAX_TRUNCATE + 1)]) == 2
         assert cli.main(["series", "--n", "100000000", "--l", "2", "--partition", "2,1",
                          "--truncate", "10000", "--which", "join"]) == 2
-        # a numerator power too large to expand
+        # quick to expand, but too long to print: about 8.2 * 10^6 digits
         assert cli.main(["series", "--n", "4", "--l", "2000", "--partition", "3,2",
                          "--truncate", "10000", "--which", "join"]) == 2
-        # small enough to hold, too many products to expand in good time
+        assert "the series would hold about 8167153 digits" in capsys.readouterr().err
+        # and about 2.04 * 10^6 digits, just past the limit
         assert cli.main(["series", "--n", "4", "--l", "1000", "--partition", "3,2",
                          "--truncate", "10000", "--which", "join"]) == 2
-        # as many products as one that runs, but against far longer binomials
+        assert f"more than {cli.MAX_REPORT_DIGITS}" in capsys.readouterr().err
+        # long binomials, but one pass of small-by-big products and about
+        # 1.7 * 10^5 digits to print
+        start = time.perf_counter()
         assert cli.main(["series", "--n", "100", "--l", "300", "--partition", "3,2",
-                         "--truncate", "10000", "--which", "join"]) == 2
-        capsys.readouterr()
+                         "--truncate", "10000", "--which", "join"]) == 0
+        assert time.perf_counter() - start < 5.0
+        assert len(json.loads(capsys.readouterr().out)) == 10001
         # coefficients past the interpreter's 4300-digit limit for printing
         # an integer are refused by name; those below it print
         for which in ("join", "predicted"):
@@ -412,13 +431,25 @@ class TestCli:
         # (1 - t^2)^300 (1 - t^3)^300 / (1-t)^4 = 1 + 4t + (10 - 300)t^2 + ...
         assert json.loads(capsys.readouterr().out)[:3] == [1, 4, -290]
 
+    def test_g_check_bound_past_its_limit_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "cells.csv"
+        start = time.perf_counter()
+        assert cli.main(["sweep", "--n-range", "3:3", "--l-range", "2:2",
+                         "--d-max", "3", "--predictor-only", "--out", str(out),
+                         "--g-check-bound", "100"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "g-check bound" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oversized_series_exit_2_on_every_subcommand(self, capsys):
         """predict, segre, verify, lfactor and redforms expand the series
         that `series` prints, through the same guard, before any oracle."""
-        wide = ["--n", "4", "--l", "3000", "--partition", "20000,1"]
+        # (1 - t)^299996 (1 - t^20000)^300000 through degree 20001, whose
+        # coefficients pass 10^5 bits (test_series.HUGE_POWER)
+        wide = ["--n", "4", "--l", "300000", "--partition", "20000,1"]
         for argv in (["predict"] + wide, ["segre"] + wide, ["verify"] + wide,
-                     ["lfactor", "--n", "4", "--l", "3000", "--d", "20001"],
-                     ["redforms", "--n", "4", "--l", "3000", "--d", "20001"]):
+                     ["lfactor", "--n", "4", "--l", "300000", "--d", "20001"],
+                     ["redforms", "--n", "4", "--l", "300000", "--d", "20001"]):
             start = time.perf_counter()
             assert cli.main(argv) == 2
             assert time.perf_counter() - start < 1.0

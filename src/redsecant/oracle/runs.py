@@ -717,7 +717,7 @@ def froeberg_oracle_r2(n: int, l: int, k: int, d: int,
         return [random_form(n, e, cfg.p, _rng(cfg.seed, _TAG_FROEBERG, n, trial, i))
                 for i, e in enumerate(degs)]
 
-    # the driver's column guard runs first, before the O(l d) loop below
+    # _levels_over_trials checks the column guard before the O(l d) loop below
     (hilbert,), (used,), _ = _levels_over_trials(
         sample, (n,), range(d + 1), 1, f"generic-forms run (n={n}, d={d})",
         cfg, (series,))

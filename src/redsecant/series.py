@@ -228,7 +228,7 @@ def _expand(num: SeriesNumerator, l: int, m: int, bound: int) -> tuple[int, ...]
     at most two nonzero (p_k, u_k) per term of h, one when m = 0.  So f_0 =
     h_0^l, and the division by j h_0 is exact: f has integer coefficients
     (h^l and 1/(1-t)^m do), they satisfy the identity, and j h_0 != 0 fixes
-    f_j from those before it.  When m = 0 the pass stops past l deg h.
+    f_j from those before it.  When m = 0, f ends at l deg h: the pass stops.
     """
     terms = num.terms if l else ((0, 1),)
     if not terms or terms[0][0] * l > bound:
@@ -299,7 +299,7 @@ def _expansion_cost(num: SeriesNumerator, l: int, m: int, bound: int) -> int:
     coefficient of num^l has at most 1 + min(l bits(2r - 1),
     min(l, bound // s) (bits(l (2r - 1)) + 1)) bits; with k = min(bound,
     m - 1), C(j + m - 1, m - 1) < (3(bound + m - 1)/k)^k for j <= bound;
-    and f_j sums at most bound + 1 products of the two.
+    f_j sums at most bound + 1 such products; each returned degree is 1024 bits.
     """
     (s, _), (d, top) = num.terms[1], num.terms[-1]
     a = 2 * top + 1

@@ -215,12 +215,29 @@ def _counted_cost(num, l, m, bound):
 @settings(max_examples=60, deadline=None)
 @example([1, 1], 64, 0, 128)  # (1-t)^128: every step has its products
 @example([1, 1], 64, 3000, 300)  # (1-t)^128 / (1-t)^3000, long binomials
-@example([10000, 10000], 2, 0, 10000)  # 10,001 loop steps, two products
+@example([10000, 10000], 2, 0, 10000)  # 10,001 loop steps, one product
 def test_cost_estimate_bounds_the_counted_cost(parts, l, m, bound):
     """Every bound the estimate takes (steps, products, coefficient and
     factor bits) holds on the run."""
     num = reducible_numerator(parts)
     assert series._expansion_cost(num, l, m, bound) >= _counted_cost(num, l, m, bound)
+
+
+def test_one_division_per_degree(monkeypatch):
+    """The pass divides once per degree after the first: through the bound
+    when m > 0, and when m = 0 only through l deg h, however far the bound
+    is, as _expansion_cost counts its steps."""
+    divisors = []
+
+    def counted(a, b):
+        divisors.append(b)
+        return divmod(a, b)
+
+    monkeypatch.setattr(series, "divmod", counted, raising=False)
+    for l, m, bound, steps in ((3, 0, 100_000, 9), (3, 4, 50, 50), (0, 0, 10, 0)):
+        divisors.clear()
+        expand_power([2, 1], l, m, bound)
+        assert divisors == list(range(1, steps + 1))
 
 
 # (1 - t)^299996 (1 - t^20000)^300000 through degree 20001: its coefficients

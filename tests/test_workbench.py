@@ -285,6 +285,60 @@ def test_remark_region_scan_refuses_past_its_limit():
     assert remark_region_scan(12)["region_cells"] == 7136
 
 
+def test_full_predictor_sweep_matches_frozen_digests():
+    """The predictor-only sweep of every family over n 3-12, l 2-8, d <= 12
+    and the remark scan at bound 12, frozen before a sweep built each
+    partition once per sweep instead of once per cell."""
+    cfg = SweepConfig(n_range=(3, 12), l_range=(2, 8), d_max=12, r_max=4,
+                      families=workbench.SWEEP_FAMILIES, predictor_only=True,
+                      workers=1)
+    rows, _ = sweep(cfg)
+    assert len(rows) == 11972
+    assert hashlib.sha256(render_csv(rows).encode()).hexdigest() == (
+        "93d3cf8ebf67bde404a080ff83b672b7694f52deaf228ff83182b416a8543905")
+    scan = json.dumps(remark_region_scan(12), sort_keys=True)
+    assert hashlib.sha256(scan.encode()).hexdigest() == (
+        "17e523c443a67bbd999f8ca7f4743e57efad8c841f34f72b74ff40a5f436e0d4")
+
+
+@pytest.mark.parametrize("drift", ["extra", "missing"])
+def test_render_csv_refuses_records_off_the_columns(monkeypatch, drift):
+    """render_csv writes values by position, so a record with a key added
+    or dropped must raise rather than shift the columns."""
+    rows, _ = sweep(small_config(d_max=3, predictor_only=True))
+    real = SweepRow.csv_record
+
+    def drifted(row):
+        record = real(row)
+        if drift == "extra":
+            record["runtime_ms"] = 1
+        else:
+            del record["finding"]
+        return record
+
+    monkeypatch.setattr(SweepRow, "csv_record", drifted)
+    with pytest.raises(ValueError, match="CSV record keys"):
+        render_csv(rows)
+
+
+def test_sweeps_share_no_partition_memo(monkeypatch):
+    """Each sweep enumerates its shape lists itself, once per (family, d):
+    a second sweep of the same config is not answered from the first."""
+    calls = []
+    real = workbench.enumerate_partitions
+    monkeypatch.setattr(workbench, "enumerate_partitions",
+                        lambda *args: calls.append(args) or real(*args))
+    cfg = small_config(n_range=(3, 5), l_range=(2, 4), d_max=6,
+                       families=workbench.SWEEP_FAMILIES, predictor_only=True)
+    first = render_csv(sweep(cfg)[0])
+    per_sweep = len(calls)
+    second = render_csv(sweep(cfg)[0])
+    # d = 2..6 once for "general" and once for the n3 cells at (3, 2)
+    assert per_sweep == 10
+    assert len(calls) == 2 * per_sweep
+    assert first == second
+
+
 class TestCli:
     def test_predict_human_output(self, capsys):
         assert cli.main(["predict", "--n", "4", "--l", "3",

@@ -223,18 +223,11 @@ def cmd_n3line(args) -> int:
     return EXIT_OK
 
 
-def cmd_lfactor(args) -> int:
-    rep = linear_factor_predict(args.n, args.l, args.d)
+def cmd_family(args) -> int:
+    """lfactor and redforms: a family's prediction and its threshold."""
+    rep = args.predictor(args.n, args.l, args.d)
     print("\n".join(_report_lines(rep)))
-    print(f"filling threshold l0 = {threshold_l0('linear_factor', args.n, args.d)}")
-    return EXIT_OK
-
-
-def cmd_redforms(args) -> int:
-    rep = reducible_forms_predict(args.n, args.l, args.d)
-    print("\n".join(_report_lines(rep)))
-    print(f"filling threshold l0 = "
-          f"{threshold_l0('reducible_forms', args.n, args.d)}")
+    print(f"filling threshold l0 = {threshold_l0(args.family, args.n, args.d)}")
     return EXIT_OK
 
 
@@ -319,19 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", required=True)
     p.set_defaults(func=cmd_n3line)
 
-    p = subs.add_parser("lfactor",
-                        help="family with one linear factor, [d-1,1]")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=cmd_lfactor)
-
-    p = subs.add_parser("redforms",
-                        help="secants of the full reducible-forms variety")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=cmd_redforms)
+    for command, family, predictor, summary in (
+            ("lfactor", "linear_factor", linear_factor_predict,
+             "family with one linear factor, [d-1,1]"),
+            ("redforms", "reducible_forms", reducible_forms_predict,
+             "secants of the full reducible-forms variety")):
+        p = subs.add_parser(command, help=summary)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--l", type=int, required=True)
+        p.add_argument("--d", type=int, required=True)
+        p.set_defaults(func=cmd_family, family=family, predictor=predictor)
 
     p = subs.add_parser("segre", help="Segre-variety reading of a prediction")
     _add_instance_flags(p)

@@ -11,8 +11,8 @@ epsilon correction, and the dominance order on partitions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple, Sequence, Union
 
 
 def binom(a: int, b: int) -> int:
@@ -28,6 +28,7 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+@dataclass(frozen=True)
 class Partition:
     """A partition d_1 >= d_2 >= ... >= d_r >= 1, stored canonically.
 
@@ -38,15 +39,13 @@ class Partition:
     the largest part.  d, r and s are stored once, at construction.
     """
 
-    __slots__ = ("parts", "d", "r", "s")
-
     parts: tuple[int, ...]
-    d: int
-    r: int
-    s: int
+    d: int = field(init=False, compare=False, repr=False)
+    r: int = field(init=False, compare=False, repr=False)
+    s: int = field(init=False, compare=False, repr=False)
 
-    def __init__(self, parts: Iterable[int]):
-        ps = sorted((int(p) for p in parts), reverse=True)
+    def __post_init__(self):
+        ps = sorted((int(p) for p in self.parts), reverse=True)
         if not ps:
             raise ValueError("partition needs at least one part")
         if ps[-1] < 1:
@@ -80,21 +79,6 @@ class Partition:
 
     def text(self) -> str:
         return ",".join(str(p) for p in self.parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __reduce__(self):
-        # __slots__ plus the immutability guard breaks default pickling
-        return (Partition, (self.parts,))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)

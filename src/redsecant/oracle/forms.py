@@ -8,7 +8,8 @@ G_k = prod_{i != k} F_i come from prefix and suffix partial products
 (3r - 6 products for r >= 3 factors, none for two), so neither
 polynomial division nor a product by the unit form is ever needed.  The
 linear-elimination helpers substitute pivot variables of linear generators
-away exactly, shrinking the ring before any rank computation.  The pivots
+away exactly, shrinking the ring.  They are public API and a reference for
+the tests, and no run of the oracle or the sweep calls them.  The pivots
 and their expressions are the reduced echelon form of the linear forms,
 read from the rank kernel's RankAccumulator; where each coefficient moves
 depends only on (n, d, v) and is cached.
@@ -25,15 +26,19 @@ from .modmat import RankAccumulator
 from .monomials import exponents, grade_size, mul_table, rank_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomogeneousForm:
+    """A form owns a read-only copy of its coefficients.  Two forms are
+    equal only when they are the same object, as an array has no single
+    truth value to compare by."""
+
     n: int
     degree: int
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         want = grade_size(self.n, self.degree)
-        coeffs = np.ascontiguousarray(self.coeffs, np.int64)
+        coeffs = np.array(self.coeffs, np.int64)
         if coeffs.shape != (want,):
             raise ValueError(
                 f"degree-{self.degree} form in {self.n} variables needs "

@@ -127,8 +127,9 @@ def mul_table(n: int, a: int, b: int) -> np.ndarray:
     exponents(n, b), the columns that x^exponents(n,a)[i] * G occupies for
     any degree-b form G: form products scatter through it and Terracini
     rows are gathered from it.  Shapes above _TABLE_LIMIT entries raise
-    ResourceGuardExceeded before anything is built; ideal_piece_rank asks
-    only for much smaller tables and takes the rows of larger shapes from
+    ResourceGuardExceeded before anything is built.  The Terracini row
+    builders (_shift_table and _generator_rows in runs.py) ask only for
+    much smaller tables and take the rows of larger shapes from
     table_rows, block by block.
     """
     rows = grade_size(n, a)

@@ -14,6 +14,7 @@ so no rational number appears.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Sequence
 
@@ -39,22 +40,16 @@ def _render_poly(pairs: Iterable[tuple[int, int]]) -> str:
     return " ".join(chunks) if chunks else "0"
 
 
+@dataclass(frozen=True)
 class TruncatedSeries:
-    """Integer power series tracked exactly through degree D.
-
-    Arithmetic between mismatched bounds truncates to the smaller one, which
-    is the only honest answer: coefficients beyond a window are unknown, not
-    zero.
-    """
-
-    __slots__ = ("coeffs",)
+    """Integer power series tracked exactly through degree D."""
 
     coeffs: tuple[int, ...]
 
-    def __init__(self, coeffs: Sequence[int]):
-        if len(coeffs) == 0:
+    def __post_init__(self):
+        if len(self.coeffs) == 0:
             raise ValueError("series window must contain degree 0")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
 
     @classmethod
     def _trusted(cls, coeffs: tuple[int, ...]) -> "TruncatedSeries":
@@ -80,17 +75,6 @@ class TruncatedSeries:
             return self
         return TruncatedSeries(self.coeffs[: new_bound + 1])
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TruncatedSeries):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __len__(self) -> int:
         return len(self.coeffs)
 
@@ -104,16 +88,16 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coeffs)!r})"
 
 
+@dataclass(frozen=True)
 class SeriesNumerator:
-    """Sparse integer polynomial: distinct degrees, nonzero coefficients."""
-
-    __slots__ = ("terms",)
+    """Sparse integer polynomial: distinct degrees, nonzero coefficients.
+    The constructor merges (degree, coefficient) pairs given in any order."""
 
     terms: tuple[tuple[int, int], ...]
 
-    def __init__(self, pairs: Iterable[tuple[int, int]]):
+    def __post_init__(self):
         acc: dict[int, int] = {}
-        for e, c in pairs:
+        for e, c in self.terms:
             e = int(e)
             c = int(c)
             if e < 0:
@@ -160,17 +144,6 @@ class SeriesNumerator:
             if e <= bound:
                 out[e] = c
         return TruncatedSeries._trusted(tuple(out))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SeriesNumerator is immutable")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SeriesNumerator):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
 
     def __str__(self) -> str:
         return _render_poly(self.terms)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import signal
 import subprocess
 from pathlib import Path
 
@@ -128,29 +129,74 @@ def test_main_writes_the_file(tmp_path, monkeypatch):
         "parent": 0, "change": 1}
 
 
-def test_a_run_that_times_out_is_recorded_as_an_error(monkeypatch):
-    """subprocess.run is patched, so no process starts: the second run
-    overruns, and every other pair is still measured and summarized."""
+class FakePopen:
+    """Stands in for subprocess.Popen, so no process starts.  Every instance
+    is kept in made.  The first communicate calls fail(number), which may
+    raise, and returns a result line; a later one, as after a kill, returns
+    no output and the stderr read before it."""
+
+    made: list = []
+    fail = staticmethod(lambda number: None)
+
+    def __init__(self, cmd, cwd, **kwargs):
+        assert kwargs["start_new_session"]
+        self.side = Path(cwd).name
+        self.number = len(FakePopen.made)
+        self.pid = 4000 + self.number
+        self.timeouts = []
+        self.returncode = None
+        FakePopen.made.append(self)
+
+    def communicate(self, timeout=None):
+        self.timeouts.append(timeout)
+        if len(self.timeouts) > 1:
+            self.returncode = -signal.SIGKILL
+            return "", "still ranking"
+        FakePopen.fail(self.number)
+        self.returncode = 0
+        wall = 1.0 if self.side == "parent" else 0.5
+        return "log line\n" + json.dumps(result_line(wall, 10)) + "\n", ""
+
+
+@pytest.fixture
+def killed(monkeypatch):
+    """Patches Popen with FakePopen and os.killpg with a list of its calls."""
     calls = []
+    monkeypatch.setattr(FakePopen, "made", [])
+    monkeypatch.setattr(bench_record.subprocess, "Popen", FakePopen)
+    monkeypatch.setattr(bench_record.os, "killpg",
+                        lambda pid, sig: calls.append((pid, sig)))
+    return calls
 
-    def fake_run(cmd, cwd, **kwargs):
-        calls.append((Path(cwd).name, kwargs["timeout"]))
-        if len(calls) == 2:
-            raise subprocess.TimeoutExpired(cmd, kwargs["timeout"], output=b"",
-                                            stderr=b"still ranking")
-        wall = 1.0 if Path(cwd).name == "parent" else 0.5
-        return subprocess.CompletedProcess(
-            cmd, 0, stdout="log line\n" + json.dumps(result_line(wall, 10)) + "\n",
-            stderr="")
 
-    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+def _overrun_second(number):
+    if number == 1:
+        raise subprocess.TimeoutExpired("perfbench/run.py", bench_record.RUN_TIMEOUT_S)
+
+
+def _ctrl_c(number):
+    raise KeyboardInterrupt
+
+
+def _sigterm(number):
+    # the handler installed now, called as the signal would call it
+    signal.getsignal(signal.SIGTERM)(signal.SIGTERM, None)
+
+
+def test_a_run_that_times_out_is_recorded_as_an_error(killed, monkeypatch):
+    """The second run overruns: its process group is killed and reaped, and
+    every other pair is still measured and summarized."""
+    monkeypatch.setattr(FakePopen, "fail", staticmethod(_overrun_second))
+    calls = FakePopen.made
     assert bench_record.run_benchmark(Path("/x/parent"), ["--seed", "1"]) == \
         result_line(1.0, 10)
     assert bench_record.run_benchmark(Path("/x/change"), ["--seed", "1"]) == {
         "error": f"timeout after {bench_record.RUN_TIMEOUT_S} s",
         "stderr": "still ranking"}
-    assert calls == [("parent", bench_record.RUN_TIMEOUT_S),
-                     ("change", bench_record.RUN_TIMEOUT_S)]
+    assert [(p.side, p.timeouts) for p in calls] == [
+        ("parent", [bench_record.RUN_TIMEOUT_S]),
+        ("change", [bench_record.RUN_TIMEOUT_S, None])]
+    assert killed == [(calls[1].pid, signal.SIGKILL)]
     calls.clear()
     doc = bench_record.record(CHECKOUTS, ["ladder"], [1, 2, 3], 5, METRICS,
                               run=bench_record.run_benchmark, describe=describe())
@@ -160,3 +206,32 @@ def test_a_run_that_times_out_is_recorded_as_an_error(monkeypatch):
     wall = doc["workloads"]["ladder"]["metrics"]["wall_s"]
     assert wall["pairs_won"] == {"parent": 0, "change": 2}
     assert wall["parent"]["runs"] == 3 and wall["change"]["runs"] == 2
+
+
+@pytest.mark.parametrize("interrupt, stopped",
+                         [(_ctrl_c, KeyboardInterrupt), (_sigterm, SystemExit)])
+def test_an_interrupted_recorder_kills_its_run_first(tmp_path, monkeypatch, killed,
+                                                     interrupt, stopped):
+    """Ctrl-C, or SIGTERM, which main turns into an exit while it records,
+    comes while a run is measured: the run's process group is killed and
+    reaped before the recorder stops, and main restores the SIGTERM handler."""
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+    monkeypatch.setattr(bench_record, "describe_checkout", describe())
+    monkeypatch.setattr(FakePopen, "fail", staticmethod(interrupt))
+    before = signal.getsignal(signal.SIGTERM)
+    out = tmp_path / "BENCH_t.json"
+    with pytest.raises(stopped) as info:
+        bench_record.main(["--label", "t", "--parent", str(tmp_path / "parent"),
+                           "--change", str(tmp_path / "change"),
+                           "--workloads", "grid", "--seeds", "1", "2",
+                           "--seconds", "2", "--out", str(out)])
+    if stopped is SystemExit:
+        assert info.value.code == 128 + signal.SIGTERM
+    (proc,) = FakePopen.made
+    assert proc.timeouts == [bench_record.RUN_TIMEOUT_S, None]
+    assert killed == [(proc.pid, signal.SIGKILL)]
+    assert signal.getsignal(signal.SIGTERM) is before
+    assert not out.exists()

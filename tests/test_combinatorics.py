@@ -46,12 +46,15 @@ class TestPartition:
     def test_sorts_and_freezes(self):
         p = Partition([2, 3, 2])
         assert p.parts == (3, 2, 2)
-        with pytest.raises(AttributeError):
-            p.parts = (1,)
+        for name in ("parts", "d", "weight"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, (1,))
 
     def test_from_text(self):
         assert Partition.from_text("3,2,2").parts == (3, 2, 2)
         assert Partition.from_text(" 2, 3 ,2 ") == Partition([3, 2, 2])
+        # one dict key, however the parts were given
+        assert {Partition([2, 3, 2]): "key"}[Partition.from_text("3,2,2")] == "key"
         with pytest.raises(ValueError):
             Partition.from_text("")
         with pytest.raises(ValueError):
@@ -73,11 +76,14 @@ class TestPartition:
     def test_text_round_trip(self):
         p = Partition([9, 7, 2])
         assert Partition.from_text(p.text()) == p
+        assert repr(p) == "Partition([9,7,2])"
 
     def test_pickles(self):
         # the sweep harness ships partitions to worker processes
         p = Partition([4, 3, 1])
-        assert pickle.loads(pickle.dumps(p)) == p
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and hash(q) == hash(p)
+        assert (q.d, q.r, q.s, q.t) == (8, 3, 4, 1)
 
 
 def test_as_partition_coercions():

@@ -455,6 +455,18 @@ def _brute_rows(gens, j, p):
 
 
 class TestForms:
+    def test_a_form_owns_its_coefficients_and_compares_by_identity(self):
+        coeffs = np.arange(grade_size(3, 1), dtype=np.int64)
+        f = HomogeneousForm(3, 1, coeffs)
+        g = HomogeneousForm(3, 1, coeffs)
+        # the caller's array stays writable, and writing it moves no form
+        assert coeffs.flags.writeable and not f.coeffs.flags.writeable
+        coeffs[0] = 7
+        assert f.coeffs.tolist() == [0, 1, 2]
+        assert f == f and f != g and len({f, g, f}) == 2
+        with pytest.raises(AttributeError):
+            f.coeffs = coeffs
+
     def test_multiply_square_of_linear_form(self):
         # (x1 + x2)^2 = x1^2 + 2 x1 x2 + x2^2
         coeffs = np.zeros(grade_size(3, 1), dtype=np.int64)

@@ -1,3 +1,4 @@
+import pickle
 import time
 
 import pytest
@@ -63,6 +64,23 @@ def test_truncated_series_basics():
     assert s.truncate(1).coeffs == (1, 2)
     with pytest.raises(IndexError):
         s.coeff(7)
+
+
+@pytest.mark.parametrize("public, trusted, text", [
+    (SeriesNumerator([(2, 1), (0, 1), (2, -1)]), SeriesNumerator._trusted(((0, 1),)),
+     "SeriesNumerator([(0, 1)])"),
+    (SeriesNumerator([(5, 2), (0, True)]), SeriesNumerator._trusted(((0, 1), (5, 2))),
+     "SeriesNumerator([(0, 1), (5, 2)])"),
+    (TruncatedSeries([1, 2]), TruncatedSeries._trusted((1, 2)), "TruncatedSeries([1, 2])"),
+])
+def test_constructor_and_trusted_build_one_frozen_value(public, trusted, text):
+    assert public == trusted and hash(public) == hash(trusted)
+    assert repr(public) == repr(trusted) == text
+    assert pickle.loads(pickle.dumps(trusted)) == public
+    field = "terms" if isinstance(public, SeriesNumerator) else "coeffs"
+    for name in (field, "window"):
+        with pytest.raises(AttributeError):
+            setattr(public, name, ())
 
 
 def test_numerator_one_minus_t_power():

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -34,25 +36,44 @@ SIDES = ("parent", "change")
 RUN_TIMEOUT_S = 600
 
 
+def _stop(proc: subprocess.Popen) -> str:
+    """Kill proc's process group, the run and its worker, and reap proc:
+    the stderr it wrote before the kill."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:  # the group has exited already
+        pass
+    return proc.communicate()[1] or ""
+
+
 def run_benchmark(checkout: Path, args: Sequence[str]) -> dict:
     """One perfbench/run.py process in checkout: its result line, or the
     exit code and the end of its stderr when it printed none.  A run that
     overruns RUN_TIMEOUT_S is killed and recorded as an error too, so the
-    pairs measured before it are kept."""
+    pairs measured before it are kept.  The run starts in a session of its
+    own, and a recorder that is interrupted or sent SIGTERM kills that
+    session's process group before it exits, so no run outlives it."""
+    proc = subprocess.Popen([sys.executable, "perfbench/run.py", *args],
+                            cwd=checkout, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
     try:
-        proc = subprocess.run([sys.executable, "perfbench/run.py", *args],
-                              cwd=checkout, capture_output=True, text=True,
-                              timeout=RUN_TIMEOUT_S)
-    except subprocess.TimeoutExpired as exc:
-        # the output read before the kill, as bytes on POSIX
-        stderr = exc.stderr or ""
-        if isinstance(stderr, bytes):
-            stderr = stderr.decode(errors="replace")
+        stdout, stderr = proc.communicate(timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        stderr = _stop(proc)
         return {"error": f"timeout after {RUN_TIMEOUT_S} s", "stderr": stderr[-2000:]}
-    lines = proc.stdout.splitlines()
+    except BaseException:
+        _stop(proc)
+        raise
+    lines = stdout.splitlines()
     if proc.returncode != 0 or not lines:
-        return {"error": f"exit {proc.returncode}", "stderr": proc.stderr[-2000:]}
+        return {"error": f"exit {proc.returncode}", "stderr": stderr[-2000:]}
     return json.loads(lines[-1])
+
+
+def _exit_on_signal(signum, frame):
+    """SIGTERM as SystemExit, so that run_benchmark stops its run first."""
+    sys.exit(128 + signum)
 
 
 def describe_checkout(checkout: Path) -> dict:
@@ -168,12 +189,15 @@ def main(argv=None) -> int:
         parser.error("need --seconds >= 1 and seeds >= 0")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     metrics = end_to_end_metrics(checkouts["parent"] / "BENCHMARK.json")
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
         doc = record(checkouts, args.workloads, args.seeds, args.seconds, metrics,
                      args.trace_seed, run=run_benchmark, describe=describe_checkout)
     except (ValueError, subprocess.CalledProcessError) as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 2
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     doc = {"label": args.label, **doc}
     out = args.out or Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -285,10 +285,22 @@ def test_remark_region_scan_refuses_past_its_limit():
     assert remark_region_scan(12)["region_cells"] == 7136
 
 
-def test_full_predictor_sweep_matches_frozen_digests():
+def _sweep_command_digests(argv, out, capsys):
+    """Run the sweep command in process, writing to out: the sha256 of the
+    report file and of the printed summary."""
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    return (hashlib.sha256(out.read_bytes()).hexdigest(),
+            hashlib.sha256(printed.encode()).hexdigest())
+
+
+def test_full_predictor_sweep_matches_frozen_digests(tmp_path, capsys):
     """The predictor-only sweep of every family over n 3-12, l 2-8, d <= 12
     and the remark scan at bound 12, frozen before a sweep built each
-    partition once per sweep instead of once per cell."""
+    partition once per sweep instead of once per cell.  The sweep command's
+    JSON report of the same grid, which also pins the family rows' errata,
+    and its printed summary were frozen before the command took over
+    writing the report from sweep()."""
     cfg = SweepConfig(n_range=(3, 12), l_range=(2, 8), d_max=12, r_max=4,
                       families=workbench.SWEEP_FAMILIES, predictor_only=True,
                       workers=1)
@@ -299,6 +311,30 @@ def test_full_predictor_sweep_matches_frozen_digests():
     scan = json.dumps(remark_region_scan(12), sort_keys=True)
     assert hashlib.sha256(scan.encode()).hexdigest() == (
         "17e523c443a67bbd999f8ca7f4743e57efad8c841f34f72b74ff40a5f436e0d4")
+    argv = ["sweep", "--n-range", "3:12", "--l-range", "2:8", "--d-max", "12",
+            "--families", *workbench.SWEEP_FAMILIES, "--predictor-only",
+            "--workers", "1", "--g-check-bound", "12", "--format", "json"]
+    assert _sweep_command_digests(argv, tmp_path / "predict.json", capsys) == (
+        "0b4193b6ab0c5d3fbaf346120fcb12288aa588a32782261370d5035f823f434a",
+        "66d3058cc68efd1c07719c77c203a8cbd1850c7cfd48fa6c899e8a0f307bc400")
+
+
+@pytest.mark.parametrize("fmt,file_digest", [
+    ("csv", "928433c2f93928752662b6d69507beac0174054e78c9721e8ae15aa412e3d1b3"),
+    ("json", "9e6a0e7fe1f0ee691106912a2c1ca90186ef5e826d0e62461493ca32f5821146"),
+])
+def test_mixed_outcome_sweep_command_matches_frozen_digests(tmp_path, capsys,
+                                                            fmt, file_digest):
+    """An oracle sweep of 48 cells, 34 agreeing and 14 refused by the column
+    guard, in proven and conjectural buckets: its report file and printed
+    summary, frozen before each outcome was counted only in its bucket.
+    The summary printed is the same for both formats."""
+    argv = ["sweep", "--n-range", "3:4", "--l-range", "2:3", "--d-max", "5",
+            "--max-columns", "30", "--trials", "1", "--workers", "1",
+            "--g-check-bound", "6", "--format", fmt]
+    assert _sweep_command_digests(argv, tmp_path / f"mixed.{fmt}", capsys) == (
+        file_digest,
+        "824ec6deb56561e854cdd2255e63821acec5a06a24d21cd0f43e30be37718b2f")
 
 
 @pytest.mark.parametrize("drift", ["extra", "missing"])

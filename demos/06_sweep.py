@@ -10,7 +10,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from redsecant import PrimeFieldConfig, SweepConfig, render_csv, sweep
+from redsecant import PrimeFieldConfig, SweepConfig, render_csv, render_json, sweep
 
 
 def main():
@@ -56,12 +56,14 @@ def main():
           f"{summary['agree']} agree")
     print()
 
-    # Writing to a file is one extra argument; JSON keeps the full reports.
+    # A sweep returns its rows and summary, and the caller writes the
+    # rendered report; JSON keeps the full reports.
+    json_cfg = SweepConfig(n_range=(3, 3), l_range=(2, 2), d_max=4,
+                           oracle=PrimeFieldConfig(trials=1, seed=0))
+    rows, summary = sweep(json_cfg)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "sweep.json"
-        sweep(SweepConfig(n_range=(3, 3), l_range=(2, 2), d_max=4,
-                          oracle=PrimeFieldConfig(trials=1, seed=0),
-                          out_path=out, out_format="json"))
+        out.write_text(render_json(rows, summary, json_cfg), encoding="utf-8")
         doc = json.loads(out.read_text())
         print(f"wrote {out.name}: {len(doc['rows'])} rows, "
               f"summary total {doc['summary']['total']}")

@@ -22,7 +22,8 @@ from .predictor import (
     threshold_l0,
 )
 from .series import expand_power, plus_truncate
-from .workbench import SWEEP_FAMILIES, SweepConfig, sweep, verify_case
+from .workbench import (SWEEP_FAMILIES, SweepConfig, render_csv, render_json,
+                        sweep, verify_case)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -201,11 +202,13 @@ def cmd_sweep(args) -> int:
         oracle=_oracle_config(args),
         predictor_only=args.predictor_only,
         g_check_bound=args.g_check_bound,
-        out_path=args.out,
-        out_format=args.format,
         workers=args.workers,
     )
     rows, summary = sweep(cfg)
+    text = (render_csv(rows) if args.format == "csv"
+            else render_json(rows, summary, cfg))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(text)
     print(json.dumps(summary, indent=2))
     if summary["proven_disagreements"]:
         return EXIT_DISAGREEMENT

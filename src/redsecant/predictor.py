@@ -39,8 +39,6 @@ class PredictionReport:
     unconditional theorem, else "conjectural"; citation names the regime by
     its hypotheses.  errata_notes record places where a commonly quoted
     closed form disagrees with the primitive count this artifact uses.
-    annotations carry internal cross-check results (closed-form defect
-    comparisons) and are informational only.
     """
 
     instance: ProblemInstance
@@ -56,7 +54,6 @@ class PredictionReport:
     status: str
     citation: str
     errata_notes: tuple[str, ...] = ()
-    annotations: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
         """Flat JSON object with fixed field names."""
@@ -180,8 +177,8 @@ def predict(inst: ProblemInstance) -> PredictionReport:
     theorem), a nonpositive value in [s, d] means the secant variety fills
     its ambient space, and otherwise the dimension is N - 1 - a_d, which is
     checked against the independent long-form evaluation.  For n=3, l=2 the
-    result is cross-checked against the complete classification; proven
-    closed-form defect expressions are checked and recorded as annotations.
+    result is cross-checked against the complete classification, and
+    proven closed-form defect expressions are checked.
     """
     n, l = inst.n, inst.l
     part = inst.partition
@@ -224,7 +221,6 @@ def predict(inst: ProblemInstance) -> PredictionReport:
     if r == 2 and part.parts[1] == 1 and d >= 3:
         errata = (LINEAR_FACTOR_DIM_NOTE,)
 
-    annotations: list[str] = []
     if not fills and 2 * l <= n:
         eps = exp.epsilon
         if r == 2:
@@ -237,7 +233,6 @@ def predict(inst: ProblemInstance) -> PredictionReport:
                     f"internal error: two-factor closed-form defect {closed} "
                     f"!= {defect} for {inst}"
                 )
-            annotations.append("defect matches the two-factor proper-case closed form")
         elif d1 >= s:
             closed = syz_dim(n, l, s, d) - eps
             if defect != closed:
@@ -245,14 +240,12 @@ def predict(inst: ProblemInstance) -> PredictionReport:
                     f"internal error: syzygy closed-form defect {closed} "
                     f"!= {defect} for {inst}"
                 )
-            annotations.append("defect matches the syzygy count minus epsilon")
         else:
             if predicted != l * dim_x + l - 1:
                 raise RuntimeError(
                     f"internal error: below the dividing hyperplane but "
                     f"dim != full parameter count for {inst}"
                 )
-            annotations.append("below the dividing hyperplane: full parameter count")
 
     report = PredictionReport(
         instance=inst,
@@ -268,7 +261,6 @@ def predict(inst: ProblemInstance) -> PredictionReport:
         status=status,
         citation=citation,
         errata_notes=errata,
-        annotations=tuple(annotations),
     )
 
     if n == 3 and l == 2:
@@ -427,14 +419,12 @@ def linear_factor_predict(n: int, l: int, d: int) -> PredictionReport:
     inst = ProblemInstance(n, l, Partition([d - 1, 1]))
     report = predict(inst)
     l0 = threshold_l0("linear_factor", n, d)
-    notes = list(report.annotations)
     if l >= l0:
         if not report.fills:
             raise RuntimeError(
                 f"internal error: l={l} >= l0={l0} but the prediction "
                 f"does not fill for (n={n}, d={d})"
             )
-        notes.append(f"fills (l >= l0 = {l0})")
     else:
         want = binom(d + n - 1, n - 1) - binom(d + n - l - 1, d) + l * (n - l) - 1
         if report.fills or report.predicted_dim != want:
@@ -461,13 +451,8 @@ def linear_factor_predict(n: int, l: int, d: int) -> PredictionReport:
                     f"internal error: defect {report.defect} is not the "
                     f"quoted closed form {quoted} minus l={l}"
                 )
-            notes.append(
-                "defect equals the family closed form corrected down by l "
-                "(dim X off-by-one)"
-            )
     return replace(report, status="proven",
-                   citation="linear factor family [d-1,1]",
-                   annotations=tuple(notes))
+                   citation="linear factor family [d-1,1]")
 
 
 def reducible_forms_predict(n: int, l: int, d: int) -> PredictionReport:
@@ -486,12 +471,8 @@ def reducible_forms_predict(n: int, l: int, d: int) -> PredictionReport:
     lam = Partition([d - 1, 1]) if d >= 3 else Partition([1, 1])
     report = predict(ProblemInstance(n, l, lam))
     l0 = threshold_l0("reducible_forms", n, d)
-    notes = list(report.annotations)
-    errata = set(report.errata_notes)
-    errata.add(LINEAR_FACTOR_DIM_NOTE)
     if 2 * l <= n:
         status, citation = "proven", "reducible forms, proper intersection (2l <= n)"
-        notes.append("equals the [d-1,1] family dimension (proper case)")
     elif l >= l0:
         status, citation = "proven", f"reducible forms fill (l >= l0 = {l0})"
         if not report.fills:
@@ -501,12 +482,8 @@ def reducible_forms_predict(n: int, l: int, d: int) -> PredictionReport:
             )
     else:
         status, citation = "conjectural", ""
-        notes.append(
-            "dimension conjectured equal to the [d-1,1] family in this window"
-        )
     return replace(report, status=status, citation=citation,
-                   annotations=tuple(notes),
-                   errata_notes=tuple(sorted(errata)))
+                   errata_notes=(LINEAR_FACTOR_DIM_NOTE,))
 
 
 # ============================================================

@@ -1,5 +1,5 @@
 """Sweep harness: enumerate instances, check predictions against the oracle,
-and write deterministic reports.
+and render deterministic reports.
 
 A sweep walks a grid of (family, n, l, d, partition) cells in a fixed
 order, runs the prediction and (unless predictor_only) the rank oracle for
@@ -47,6 +47,9 @@ CSV_COLUMNS = (
     "finding", "trial_ranks",
 )
 
+# A sweep row's outcome, in the summary's key order.
+_OUTCOMES = ("agree", "disagree", "skipped", "predictor_only")
+
 
 # Largest g_check_bound: remark_region_scan visits about bound^5 / 12 cells
 # at 8-11 us each, 7,136 cells (0.06 s) at 12 and 415,400 (about 4.4 s) at 24.
@@ -91,7 +94,7 @@ class ProcessPoolExecutor(futures.ProcessPoolExecutor):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid bounds, families, oracle settings, and output destination.
+    """Grid bounds, families, oracle settings, and pool size.
 
     Ranges are inclusive.  families picks which partitions each (n, l, d)
     cell contributes: "general" takes every partition with at most r_max
@@ -111,8 +114,6 @@ class SweepConfig:
     oracle: PrimeFieldConfig = field(default_factory=PrimeFieldConfig)
     predictor_only: bool = False
     g_check_bound: Optional[int] = None
-    out_path: Optional[str] = None
-    out_format: str = "csv"
     workers: Optional[int] = None
 
     def __post_init__(self):
@@ -131,8 +132,6 @@ class SweepConfig:
             raise ValueError(f"unknown families {bad}; expected {SWEEP_FAMILIES}")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"need workers >= 1, got {self.workers}")
-        if self.out_format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.out_format!r}")
         if self.g_check_bound is not None:
             _check_g_check_bound(self.g_check_bound)
 
@@ -316,38 +315,28 @@ def remark_region_scan(bound: int) -> dict:
 
 
 def _summarize(rows: Sequence[SweepRow], cfg: SweepConfig) -> dict:
+    """Each row's outcome is counted once, in its status bucket; the
+    top-level counts are the sums over the buckets."""
     by_status: dict[str, dict[str, int]] = {}
-    agree = disagree = skipped = predictor_only = 0
     findings: list[str] = []
     errors: list[str] = []
     for row in rows:
-        status = row.prediction.status
-        bucket = by_status.setdefault(status, {"total": 0, "agree": 0,
-                                               "disagree": 0, "skipped": 0,
-                                               "predictor_only": 0})
+        bucket = by_status.setdefault(row.prediction.status,
+                                      dict.fromkeys(("total",) + _OUTCOMES, 0))
         bucket["total"] += 1
         if row.skipped_reason is not None:
-            skipped += 1
             bucket["skipped"] += 1
         elif row.agree is None:
-            predictor_only += 1
             bucket["predictor_only"] += 1
-        elif row.agree:
-            agree += 1
-            bucket["agree"] += 1
         else:
-            disagree += 1
-            bucket["disagree"] += 1
+            bucket["agree" if row.agree else "disagree"] += 1
         if row.finding:
             findings.append(row.finding)
         if row.error:
             errors.append(row.error)
     summary = {
         "total": len(rows),
-        "agree": agree,
-        "disagree": disagree,
-        "skipped": skipped,
-        "predictor_only": predictor_only,
+        **{key: sum(b[key] for b in by_status.values()) for key in _OUTCOMES},
         "by_status": by_status,
         "proven_disagreements": len(errors),
         "errors": errors,
@@ -400,8 +389,8 @@ def sweep(cfg: SweepConfig) -> tuple[list[SweepRow], dict]:
     Cells run on a process pool of min(workers, cells, CPUs) processes,
     spawned with single-threaded BLAS (see ProcessPoolExecutor); a single
     collector writes results in enumeration order regardless of completion
-    order, so output is deterministic.  When out_path is set,
-    the rendered CSV or JSON is also written there.
+    order, so output is deterministic.  Render the rows with render_csv
+    or render_json.
     """
     cells = [
         (family, n, l, part, cfg.oracle, cfg.predictor_only)
@@ -414,10 +403,4 @@ def sweep(cfg: SweepConfig) -> tuple[list[SweepRow], dict]:
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, cells, chunksize=4))
-    summary = _summarize(rows, cfg)
-    if cfg.out_path:
-        text = (render_csv(rows) if cfg.out_format == "csv"
-                else render_json(rows, summary, cfg))
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return rows, summary
+    return rows, _summarize(rows, cfg)

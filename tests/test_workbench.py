@@ -32,6 +32,11 @@ def small_config(**overrides):
     return SweepConfig(**base)
 
 
+# The sweep command that runs small_config()
+SMALL_SWEEP_ARGV = ["sweep", "--n-range", "3:3", "--l-range", "2:2", "--d-max", "4",
+                    "--r-max", "4", "--trials", "2", "--seed", "5", "--workers", "1"]
+
+
 class TestVerifyCase:
     def test_agreeing_cell(self):
         row = verify_case(ProblemInstance(4, 3, "3,2,2"), FAST_ORACLE)
@@ -209,20 +214,25 @@ class TestSweep:
         assert all(r.prediction.instance.n == 3 and
                    r.prediction.instance.l == 2 for r in rows)
 
-    def test_writes_csv_file(self, tmp_path):
+    def test_writes_csv_file(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
-        cfg = small_config(out_path=str(out))
-        rows, _ = sweep(cfg)
+        assert cli.main(SMALL_SWEEP_ARGV + ["--out", str(out)]) == 0
+        rows, summary = sweep(small_config())
+        assert json.loads(capsys.readouterr().out) == summary
         text = out.read_text()
         assert text == render_csv(rows)
         header = text.splitlines()[0]
         assert header.startswith("family,n,l,partition,")
         assert "runtime_ms" not in header
 
-    def test_writes_json_file(self, tmp_path):
+    def test_writes_json_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
-        cfg = small_config(out_path=str(out), out_format="json")
+        assert cli.main(SMALL_SWEEP_ARGV + ["--out", str(out),
+                                            "--format", "json"]) == 0
+        cfg = small_config()
         rows, summary = sweep(cfg)
+        assert json.loads(capsys.readouterr().out) == summary
+        assert out.read_text() == render_json(rows, summary, cfg)
         doc = json.loads(out.read_text())
         assert doc["summary"]["total"] == summary["total"]
         assert len(doc["rows"]) == len(rows)
@@ -237,8 +247,6 @@ class TestSweep:
             small_config(l_range=(1, 3))
         with pytest.raises(ValueError):
             small_config(families=("mystery",))
-        with pytest.raises(ValueError):
-            small_config(out_format="yaml")
         with pytest.raises(ValueError):
             small_config(workers=0)
 

@@ -68,13 +68,6 @@ class TruncatedSeries:
             raise IndexError(f"degree {j} outside window 0..{self.bound}")
         return self.coeffs[j]
 
-    def truncate(self, new_bound: int) -> "TruncatedSeries":
-        if new_bound < 0:
-            raise ValueError("bound must be >= 0")
-        if new_bound >= self.bound:
-            return self
-        return TruncatedSeries(self.coeffs[: new_bound + 1])
-
     def __len__(self) -> int:
         return len(self.coeffs)
 
@@ -124,12 +117,6 @@ class SeriesNumerator:
     @property
     def degree(self) -> int:
         return self.terms[-1][0] if self.terms else 0
-
-    def coeff(self, e: int) -> int:
-        for deg, c in self.terms:
-            if deg == e:
-                return c
-        return 0
 
     def mul(self, other: "SeriesNumerator") -> "SeriesNumerator":
         acc: dict[int, int] = {}

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -54,6 +55,12 @@ _OUTCOMES = ("agree", "disagree", "skipped", "predictor_only")
 # Largest g_check_bound: remark_region_scan visits about bound^5 / 12 cells
 # at 8-11 us each, 7,136 cells (0.06 s) at 12 and 415,400 (about 4.4 s) at 24.
 MAX_G_CHECK_BOUND = 24
+
+# Most cells one sweep may hold.  On a 2-vCPU Xeon VM a predictor-only cell
+# took about 31 us and its cell and row held about 0.9 KB, so the cap is
+# about 6 s and 180 MB before rendering; the 11,972-cell grid of every
+# family over n 3-12, l 2-8, d <= 12 is well inside it.
+MAX_SWEEP_CELLS = 200_000
 
 # BLAS thread counts a sweep worker starts with when the user set none.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -258,6 +265,45 @@ def _enumerate_cells(cfg: SweepConfig):
                         yield family, n, l, part
 
 
+def _partitions_per_degree(r_max: int):
+    """Yield, for d = 2, 3, ..., how many partitions enumerate_partitions(d,
+    2, r_max) returns, without building them: exact[d][k] counts the
+    partitions of d into exactly k parts, p(d, k) = p(d-1, k-1) + p(d-k, k)."""
+    exact = [[1], [0, 1]]
+    for d in itertools.count(2):
+        exact.append([0] + [exact[d - 1][k - 1]
+                            + (exact[d - k][k] if 2 * k <= d else 0)
+                            for k in range(1, min(d, r_max) + 1)])
+        yield sum(exact[d][2:])
+
+
+def _check_cell_count(cfg: SweepConfig) -> None:
+    """Refuse a grid of more than MAX_SWEEP_CELLS cells before any is
+    built: each family's shape count per d times its (n, l) pairs, the n3
+    family keeping only (3, 2), summed until the sum passes the cap."""
+    ns = range(cfg.n_range[0], cfg.n_range[1] + 1)
+    ls = range(cfg.l_range[0], cfg.l_range[1] + 1)
+    cells = 0
+    for family in cfg.families:
+        pairs = int(3 in ns and 2 in ls) if family == "n3" else len(ns) * len(ls)
+        if not pairs:
+            continue
+        general = _partitions_per_degree(cfg.r_max)
+        for d in range(2, cfg.d_max + 1):
+            if family in ("general", "n3"):
+                shapes = next(general)
+            elif family == "linear_factor":
+                shapes = d >= 3
+            elif family == "balanced":
+                shapes = d % 2 == 0
+            else:
+                shapes = 1
+            cells += pairs * shapes
+            if cells > MAX_SWEEP_CELLS:
+                raise ValueError(f"the sweep would hold more than {MAX_SWEEP_CELLS} "
+                                 f"cells; narrow the n, l or d range")
+
+
 def _run_cell(args) -> SweepRow:
     family, n, l, part, oracle_cfg, predictor_only = args
     inst = ProblemInstance(n, l, part)
@@ -389,9 +435,11 @@ def sweep(cfg: SweepConfig) -> tuple[list[SweepRow], dict]:
     Cells run on a process pool of min(workers, cells, CPUs) processes,
     spawned with single-threaded BLAS (see ProcessPoolExecutor); a single
     collector writes results in enumeration order regardless of completion
-    order, so output is deterministic.  Render the rows with render_csv
-    or render_json.
+    order, so output is deterministic.  render_csv and render_json turn
+    the rows into a report.  A grid of more than MAX_SWEEP_CELLS cells is
+    refused before any cell is built.
     """
+    _check_cell_count(cfg)
     cells = [
         (family, n, l, part, cfg.oracle, cfg.predictor_only)
         for family, n, l, part in _enumerate_cells(cfg)

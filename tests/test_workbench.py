@@ -250,6 +250,22 @@ class TestSweep:
         with pytest.raises(ValueError):
             small_config(workers=0)
 
+    @pytest.mark.parametrize("families,r_max", [
+        (("general",), 4), (("general",), 9), (workbench.SWEEP_FAMILIES, 3),
+        (("linear_factor", "balanced", "reducible_forms"), 4), (("n3",), 5)])
+    def test_cell_cap_counts_the_cells_exactly(self, monkeypatch, families, r_max):
+        """The count the cap is checked against is the number of cells the
+        sweep runs: a cap of exactly that many admits the grid, one less
+        refuses it."""
+        cfg = small_config(n_range=(3, 5), l_range=(2, 4), d_max=9, r_max=r_max,
+                           families=families, predictor_only=True)
+        cells = len(sweep(cfg)[0])
+        monkeypatch.setattr(workbench, "MAX_SWEEP_CELLS", cells)
+        assert len(sweep(cfg)[0]) == cells
+        monkeypatch.setattr(workbench, "MAX_SWEEP_CELLS", cells - 1)
+        with pytest.raises(ValueError, match=f"more than {cells - 1} cells"):
+            sweep(cfg)
+
     def test_g_check_bound_lands_in_summary(self):
         cfg = small_config(predictor_only=True, g_check_bound=8)
         _, summary = sweep(cfg)
@@ -537,6 +553,19 @@ class TestCli:
                          "--g-check-bound", "100"]) == 2
         assert time.perf_counter() - start < 1.0
         assert "g-check bound" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_sweep_grid_exits_2_before_building_cells(
+            self, tmp_path, capsys, monkeypatch):
+        """10^8 (n, l) pairs would be 10^8 cells, about 13 GB for the cell
+        list alone: refused by count, before any cell is enumerated."""
+        monkeypatch.setattr(workbench, "_enumerate_cells", None)
+        out = tmp_path / "x.csv"
+        start = time.perf_counter()
+        assert cli.main(["sweep", "--n-range", "3:100000000", "--l-range", "2:2",
+                         "--d-max", "2", "--predictor-only", "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"more than {workbench.MAX_SWEEP_CELLS} cells" in capsys.readouterr().err
         assert not out.exists()
 
     def test_oversized_series_exit_2_on_every_subcommand(self, capsys):

@@ -32,7 +32,7 @@ def small_config(**overrides):
     return SweepConfig(**base)
 
 
-# The sweep command that runs small_config()
+# The sweep command that runs small_config().
 SMALL_SWEEP_ARGV = ["sweep", "--n-range", "3:3", "--l-range", "2:2", "--d-max", "4",
                     "--r-max", "4", "--trials", "2", "--seed", "5", "--workers", "1"]
 
@@ -559,6 +559,7 @@ class TestCli:
             self, tmp_path, capsys, monkeypatch):
         """10^8 (n, l) pairs would be 10^8 cells, about 13 GB for the cell
         list alone: refused by count, before any cell is enumerated."""
+        # enumerating any cell would raise TypeError out of cli.main
         monkeypatch.setattr(workbench, "_enumerate_cells", None)
         out = tmp_path / "x.csv"
         start = time.perf_counter()

@@ -10,6 +10,7 @@ epsilon correction, and the dominance order on partitions.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence, Union
@@ -137,6 +138,25 @@ class ProblemInstance:
         """Number of degree-d monomials in n variables: the ambient
         projective space is P^(N-1)."""
         return binom(self.d + self.n - 1, self.n - 1)
+
+
+def record_json(record) -> dict:
+    """A result dataclass as JSON: its fields in order, a value with its own
+    to_json through it, tuples as lists with nested results as dicts, and an
+    `instance` field as n, l, partition."""
+    out = {}
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if f.name == "instance":
+            out.update(n=value.n, l=value.l, partition=value.partition.text())
+        elif hasattr(value, "to_json"):
+            out[f.name] = value.to_json()
+        elif isinstance(value, tuple):
+            out[f.name] = [record_json(v) if dataclasses.is_dataclass(v) else v
+                           for v in value]
+        else:
+            out[f.name] = value
+    return out
 
 
 def dim_variety(n: int, partition: PartitionLike) -> int:

@@ -70,7 +70,6 @@ sketch, and without a sketch every rank is exact.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import warnings
 from dataclasses import dataclass
@@ -78,7 +77,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..combinatorics import ProblemInstance, expected_dim
+from ..combinatorics import ProblemInstance, expected_dim, record_json
 from ..series import expand_power, plus_truncate, predicted_hilbert
 from .forms import HomogeneousForm, random_form, tangent_generators
 from .modmat import P_LIMIT, RankAccumulator, matmul_mod
@@ -435,22 +434,6 @@ def _levels_over_trials(sample: Callable[[int], Sequence[HomogeneousForm]],
     return best, used, per_trial
 
 
-def _json_fields(obj) -> dict:
-    """A result dataclass as JSON: its fields in order, tuples as lists,
-    nested results as dicts, and an `instance` field as n, l, partition."""
-    out = {}
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if f.name == "instance":
-            out.update(n=value.n, l=value.l, partition=value.partition.text())
-        elif isinstance(value, tuple):
-            out[f.name] = [_json_fields(v) if dataclasses.is_dataclass(v) else v
-                           for v in value]
-        else:
-            out[f.name] = value
-    return out
-
-
 @dataclass(frozen=True)
 class OracleRun:
     """Result of one max-over-trials Terracini rank computation.
@@ -478,7 +461,7 @@ class OracleRun:
     hilbert: Optional[tuple[int, ...]] = None
 
     def to_json(self) -> dict:
-        out = _json_fields(self)
+        out = record_json(self)
         if self.hilbert is None:
             del out["hilbert"]
         return out
@@ -583,7 +566,7 @@ class WlpCheckResult:
     levels: tuple[WlpLevel, ...]
 
     def to_json(self) -> dict:
-        return _json_fields(self)
+        return record_json(self)
 
 
 # Every ladder rung has at least this many variables: an instance has n >= 3.
@@ -698,7 +681,7 @@ class FroebergCheck:
     trials_used: int
 
     def to_json(self) -> dict:
-        return _json_fields(self)
+        return record_json(self)
 
 
 def froeberg_oracle_r2(n: int, l: int, k: int, d: int,

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .combinatorics import Partition, ProblemInstance, enumerate_partitions
+from .combinatorics import Partition, ProblemInstance, enumerate_partitions, record_json
 from .predictor import (
     PredictionReport,
     linear_factor_predict,
@@ -110,7 +110,8 @@ class SweepConfig:
     family predictor, and "n3" restricts to the cells with n = 3, l = 2.
     g_check_bound, when set, appends the defectivity-implication tallies
     over the region n < l, 2s <= d1 < (n-1)(s-1) with n, l, s up to the
-    bound (3 to MAX_G_CHECK_BOUND) to the summary.
+    bound (3 to MAX_G_CHECK_BOUND) to the summary.  Construction checks
+    the whole grid: past MAX_SWEEP_CELLS cells it raises ValueError.
     """
 
     n_range: tuple[int, int]
@@ -141,6 +142,7 @@ class SweepConfig:
             raise ValueError(f"need workers >= 1, got {self.workers}")
         if self.g_check_bound is not None:
             _check_g_check_bound(self.g_check_bound)
+        _check_cell_count(self)
 
 
 @dataclass(frozen=True)
@@ -180,15 +182,7 @@ class SweepRow:
         }
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "prediction": self.prediction.to_json(),
-            "oracle": None if self.oracle is None else self.oracle.to_json(),
-            "agree": self.agree,
-            "skipped_reason": self.skipped_reason,
-            "error": self.error,
-            "finding": self.finding,
-        }
+        return record_json(self)
 
 
 def _cell_seed(base: int, family: str, n: int, l: int, parts: tuple[int, ...]) -> int:
@@ -231,11 +225,9 @@ def verify_case(inst: ProblemInstance, cfg: PrimeFieldConfig,
     return SweepRow(family, report, run, agree, None, error, finding)
 
 
-def _cell_partitions(family: str, d: int, r_max: int,
-                     plane_line: bool) -> list[Partition]:
-    """The partitions of one (family, d) cell list; plane_line says whether
-    (n, l) = (3, 2), the only cells the n3 family keeps."""
-    if family == "general" or (family == "n3" and plane_line):
+def _cell_partitions(family: str, d: int, r_max: int) -> list[Partition]:
+    """The partitions a family takes at degree d."""
+    if family in ("general", "n3"):
         return enumerate_partitions(d, 2, r_max)
     if family == "linear_factor":
         return [Partition([d - 1, 1])] if d >= 3 else []
@@ -243,26 +235,29 @@ def _cell_partitions(family: str, d: int, r_max: int,
         return [Partition([d // 2, d // 2])] if d % 2 == 0 else []
     if family == "reducible_forms":
         return [Partition([d - 1, 1]) if d >= 3 else Partition([1, 1])]
-    if family == "n3":
-        return []
     raise ValueError(f"unknown family {family!r}")
 
 
+def _family_pairs(family: str, cfg: SweepConfig) -> tuple[range, range]:
+    """The n and l values a family sweeps: the grid's, except that n3
+    sweeps (3, 2) alone, and nothing on a grid without it."""
+    ns = range(cfg.n_range[0], cfg.n_range[1] + 1)
+    ls = range(cfg.l_range[0], cfg.l_range[1] + 1)
+    if family == "n3":
+        on_grid = 3 in ns and 2 in ls
+        return range(3, 3 + on_grid), range(2, 2 + on_grid)
+    return ns, ls
+
+
 def _enumerate_cells(cfg: SweepConfig):
-    # each shape list is built once per sweep and its Partitions shared by
-    # every (n, l) cell; the memo lives only as long as this call
-    shapes: dict[tuple[str, int, bool], list[Partition]] = {}
+    # each family's shape lists are built once, and shared by its (n, l) cells
     for family in cfg.families:
-        for n in range(cfg.n_range[0], cfg.n_range[1] + 1):
-            for l in range(cfg.l_range[0], cfg.l_range[1] + 1):
-                plane_line = family == "n3" and (n, l) == (3, 2)
-                for d in range(2, cfg.d_max + 1):
-                    key = (family, d, plane_line)
-                    if key not in shapes:
-                        shapes[key] = _cell_partitions(family, d, cfg.r_max,
-                                                       plane_line)
-                    for part in shapes[key]:
-                        yield family, n, l, part
+        ns, ls = _family_pairs(family, cfg)
+        shapes = [_cell_partitions(family, d, cfg.r_max)
+                  for d in range(2, cfg.d_max + 1)] if ns and ls else []
+        for n, l, parts in itertools.product(ns, ls, shapes):
+            for part in parts:
+                yield family, n, l, part
 
 
 def _partitions_per_degree(r_max: int):
@@ -279,26 +274,19 @@ def _partitions_per_degree(r_max: int):
 
 def _check_cell_count(cfg: SweepConfig) -> None:
     """Refuse a grid of more than MAX_SWEEP_CELLS cells before any is
-    built: each family's shape count per d times its (n, l) pairs, the n3
-    family keeping only (3, 2), summed until the sum passes the cap."""
-    ns = range(cfg.n_range[0], cfg.n_range[1] + 1)
-    ls = range(cfg.l_range[0], cfg.l_range[1] + 1)
+    built: each family's shape count per d times its (n, l) pairs, summed
+    until the sum passes the cap.  The general shapes are counted without
+    building them."""
     cells = 0
     for family in cfg.families:
-        pairs = int(3 in ns and 2 in ls) if family == "n3" else len(ns) * len(ls)
+        ns, ls = _family_pairs(family, cfg)
+        pairs = len(ns) * len(ls)
         if not pairs:
             continue
         general = _partitions_per_degree(cfg.r_max)
         for d in range(2, cfg.d_max + 1):
-            if family in ("general", "n3"):
-                shapes = next(general)
-            elif family == "linear_factor":
-                shapes = d >= 3
-            elif family == "balanced":
-                shapes = d % 2 == 0
-            else:
-                shapes = 1
-            cells += pairs * shapes
+            cells += pairs * (next(general) if family in ("general", "n3")
+                              else len(_cell_partitions(family, d, cfg.r_max)))
             if cells > MAX_SWEEP_CELLS:
                 raise ValueError(f"the sweep would hold more than {MAX_SWEEP_CELLS} "
                                  f"cells; narrow the n, l or d range")
@@ -436,10 +424,9 @@ def sweep(cfg: SweepConfig) -> tuple[list[SweepRow], dict]:
     spawned with single-threaded BLAS (see ProcessPoolExecutor); a single
     collector writes results in enumeration order regardless of completion
     order, so output is deterministic.  render_csv and render_json turn
-    the rows into a report.  A grid of more than MAX_SWEEP_CELLS cells is
-    refused before any cell is built.
+    the rows into a report.  The grid was checked when cfg was built (see
+    SweepConfig), so sweep itself refuses nothing.
     """
-    _check_cell_count(cfg)
     cells = [
         (family, n, l, part, cfg.oracle, cfg.predictor_only)
         for family, n, l, part in _enumerate_cells(cfg)

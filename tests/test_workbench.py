@@ -256,15 +256,15 @@ class TestSweep:
     def test_cell_cap_counts_the_cells_exactly(self, monkeypatch, families, r_max):
         """The count the cap is checked against is the number of cells the
         sweep runs: a cap of exactly that many admits the grid, one less
-        refuses it."""
-        cfg = small_config(n_range=(3, 5), l_range=(2, 4), d_max=9, r_max=r_max,
-                           families=families, predictor_only=True)
-        cells = len(sweep(cfg)[0])
+        makes SweepConfig refuse it."""
+        grid = dict(n_range=(3, 5), l_range=(2, 4), d_max=9, r_max=r_max,
+                    families=families, predictor_only=True)
+        cells = len(sweep(small_config(**grid))[0])
         monkeypatch.setattr(workbench, "MAX_SWEEP_CELLS", cells)
-        assert len(sweep(cfg)[0]) == cells
+        assert len(sweep(small_config(**grid))[0]) == cells
         monkeypatch.setattr(workbench, "MAX_SWEEP_CELLS", cells - 1)
         with pytest.raises(ValueError, match=f"more than {cells - 1} cells"):
-            sweep(cfg)
+            small_config(**grid)
 
     def test_g_check_bound_lands_in_summary(self):
         cfg = small_config(predictor_only=True, g_check_bound=8)

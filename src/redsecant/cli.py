@@ -204,11 +204,16 @@ def cmd_sweep(args) -> int:
         g_check_bound=args.g_check_bound,
         workers=args.workers,
     )
-    rows, summary = sweep(cfg)
-    text = (render_csv(rows) if args.format == "csv"
-            else render_json(rows, summary, cfg))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    # opened before any cell runs, so a path that cannot be written costs
+    # no work; a sweep stopped part-way leaves the file empty
+    try:
+        out = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
+    with out:
+        rows, summary = sweep(cfg)
+        out.write(render_csv(rows) if args.format == "csv"
+                  else render_json(rows, summary, cfg))
     print(json.dumps(summary, indent=2))
     if summary["proven_disagreements"]:
         return EXIT_DISAGREEMENT

@@ -206,13 +206,18 @@ class TestSweep:
         assert by_family["linear_factor"] == [(2, 1), (3, 1), (4, 1), (5, 1)]
         assert by_family["balanced"] == [(1, 1), (2, 2), (3, 3)]
 
-    def test_n3_family_only_emits_plane_line_cells(self):
+    def test_n3_family_only_emits_plane_line_cells(self, monkeypatch):
         cfg = small_config(n_range=(3, 4), l_range=(2, 3), d_max=3,
                            families=("n3",), predictor_only=True)
         rows, _ = sweep(cfg)
         assert rows
         assert all(r.prediction.instance.n == 3 and
                    r.prediction.instance.l == 2 for r in rows)
+        # a grid without (3, 2) holds no n3 cell, so even a cap of 0 admits it
+        off_grid = dataclasses.replace(cfg, n_range=(4, 5))
+        assert sweep(off_grid)[0] == []
+        monkeypatch.setattr(workbench, "MAX_SWEEP_CELLS", 0)
+        dataclasses.replace(cfg, n_range=(4, 5))
 
     def test_writes_csv_file(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -274,16 +279,26 @@ class TestSweep:
         assert g["failures"] == []
 
 
-def test_proven_disagreement_is_an_error_state():
-    """A fabricated oracle mismatch on a proven row must surface as error,
-    not finding."""
-    row = verify_case(ProblemInstance(3, 2, "9,7,2"), FAST_ORACLE)
-    assert row.error is None
-    fake_oracle = dataclasses.replace(row.oracle, secant_dim=999)
-    fake = dataclasses.replace(row, oracle=fake_oracle)
-    assert fake.csv_record()["oracle_dim"] == 999
-    # the classification logic lives in verify_case; simulate its branch
-    assert row.prediction.status == "proven"
+def test_proven_disagreement_is_an_error_state(monkeypatch):
+    """An oracle one above the prediction makes verify_case file a proven
+    cell as an error and a conjectural cell as a finding."""
+    real = workbench.oracle_run
+
+    def one_too_many(inst, cfg):
+        run = real(inst, cfg)
+        return dataclasses.replace(run, secant_dim=run.secant_dim + 1)
+
+    monkeypatch.setattr(workbench, "oracle_run", one_too_many)
+    proven = verify_case(ProblemInstance(3, 2, "9,7,2"), FAST_ORACLE)
+    assert proven.prediction.status == "proven"
+    assert proven.agree is False
+    assert proven.error.startswith("proven-status disagreement")
+    assert proven.finding is None
+    conjectural = verify_case(ProblemInstance(4, 3, "3,2,2"), FAST_ORACLE)
+    assert conjectural.prediction.status == "conjectural"
+    assert conjectural.agree is False
+    assert conjectural.error is None
+    assert conjectural.finding.startswith("conjectural disagreement")
 
 
 def test_remark_region_scan_small_bound():
@@ -568,6 +583,22 @@ class TestCli:
         assert time.perf_counter() - start < 1.0
         assert f"more than {workbench.MAX_SWEEP_CELLS} cells" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."])
+    def test_unwritable_sweep_report_exits_2_before_any_cell(
+            self, tmp_path, capsys, monkeypatch, out):
+        """A report path in a missing directory, or a directory, is refused
+        before the sweep starts, naming the path."""
+        def no_sweep(cfg):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "sweep", no_sweep)
+        out = str(tmp_path / out)
+        assert cli.main(["sweep", "--n-range", "3:3", "--l-range", "2:2",
+                         "--d-max", "3", "--predictor-only", "--workers", "1",
+                         "--out", out]) == 2
+        assert out in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
 
     def test_oversized_series_exit_2_on_every_subcommand(self, capsys):
         """predict, segre, verify, lfactor and redforms expand the series

@@ -214,10 +214,8 @@ class TestSweep:
         assert all(r.prediction.instance.n == 3 and
                    r.prediction.instance.l == 2 for r in rows)
         # a grid without (3, 2) holds no n3 cell, so even a cap of 0 admits it
-        off_grid = dataclasses.replace(cfg, n_range=(4, 5))
-        assert sweep(off_grid)[0] == []
         monkeypatch.setattr(workbench, "MAX_SWEEP_CELLS", 0)
-        dataclasses.replace(cfg, n_range=(4, 5))
+        assert sweep(dataclasses.replace(cfg, n_range=(4, 5)))[0] == []
 
     def test_writes_csv_file(self, tmp_path, capsys):
         out = tmp_path / "report.csv"

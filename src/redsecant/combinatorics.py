@@ -81,15 +81,6 @@ class Partition:
     def text(self) -> str:
         return ",".join(str(p) for p in self.parts)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
     def __repr__(self) -> str:
         return f"Partition([{self.text()}])"
 

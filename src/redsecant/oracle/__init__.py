@@ -6,7 +6,6 @@ from .forms import (
     monomial_form,
     multiply,
     random_form,
-    substitute_out,
     tangent_generators,
 )
 from .modmat import RankAccumulator, matmul_mod, rank_of
@@ -56,7 +55,6 @@ __all__ = [
     "rank_exponent",
     "rank_of",
     "rank_rows",
-    "substitute_out",
     "tangent_generators",
     "unrank_exponent",
     "wlp_consequence_check",

@@ -6,13 +6,13 @@ that land on each monomial, grouped by an order read once per (n, a, b)
 from the multiplication table and cached.  Tangent-cone generators
 G_k = prod_{i != k} F_i come from prefix and suffix partial products
 (3r - 6 products for r >= 3 factors, none for two), so neither
-polynomial division nor a product by the unit form is ever needed.  The
-linear-elimination helpers substitute pivot variables of linear generators
-away exactly, shrinking the ring.  They are public API and a reference for
-the tests, and no run of the oracle or the sweep calls them.  The pivots
-and their expressions are the reduced echelon form of the linear forms,
-read from the rank kernel's RankAccumulator; where each coefficient moves
-depends only on (n, d, v) and is cached.
+polynomial division nor a product by the unit form is ever needed.
+eliminate_linear quotients by linear generators exactly, shrinking the
+ring: the reduced echelon form of the linear forms, read from the rank
+kernel's RankAccumulator, sends each variable to a linear form in the free
+variables, and every other form is rewritten through that one substitution,
+monomial by monomial.  It is public API and a reference for the tests, and
+no run of the oracle or the sweep calls it.
 """
 
 from __future__ import annotations
@@ -124,60 +124,13 @@ def tangent_generators(factors, p: int) -> tuple[HomogeneousForm, ...]:
 # ------------------------------------------------------------
 
 
-def _variable_order(n: int) -> np.ndarray:
-    """ranks[v] = colex rank of the unit exponent vector e_v."""
-    return np.argsort(exponents(n, 1).argmax(axis=1))
-
-
-@lru_cache(maxsize=256)
-def _substitution_plan(n: int, d: int, v: int) -> tuple:
-    """Entry k: the positions of the degree-d monomials with x_v^k exactly,
-    and the ranks of those monomials with x_v dropped, in n-1 variables."""
-    exps = exponents(n, d)
-    plan = []
-    for k in range(d + 1):
-        source = np.flatnonzero(exps[:, v] == k)
-        target = rank_rows(np.delete(exps[source], v, axis=1))
-        source.flags.writeable = False
-        target.flags.writeable = False
-        plan.append((source, target))
-    return tuple(plan)
-
-
-def substitute_out(form: HomogeneousForm, v: int, replacement: np.ndarray,
-                   p: int) -> HomogeneousForm:
-    """Substitute x_v = replacement, a linear form in the other variables
-    given as its degree-1 coefficient vector in n-1 variables.
-
-    Writing form = sum_k x_v^k F_k with F_k free of x_v, the result is
-    sum_k replacement^k * F_k in n-1 variables, exactly.
-    """
-    n, d = form.n, form.degree
-    if n < 2:
-        raise ValueError("cannot eliminate the last variable this way")
-    out_n = n - 1
-    out = np.zeros(grade_size(out_n, d), np.int64)
-    lin = HomogeneousForm(out_n, 1, np.asarray(replacement, np.int64) % p)
-    power = lin
-    for k, (source, target) in enumerate(_substitution_plan(n, d, v)):
-        fk = np.zeros(grade_size(out_n, d - k), np.int64)
-        fk[target] = form.coeffs[source]
-        if k == 0:
-            out += fk
-            continue
-        if k > 1:
-            power = multiply(power, lin, p)
-        out += multiply(HomogeneousForm(out_n, d - k, fk), power, p).coeffs
-    return HomogeneousForm(out_n, d, out % p)
-
-
 def eliminate_linear(linear_forms, other_forms, p: int):
     """Quotient by the span of the given linear forms, exactly.
 
-    Returns (new_n, reduced_forms): the span has some rank q, each pivot
-    variable is substituted by its expression in the free variables
-    (highest pivot first, so positions of the remaining pivots never move),
-    and every other form is rewritten in the n - q surviving variables.
+    Returns (new_n, reduced_forms): the span has some rank q, the free
+    variables of its reduced echelon form (in variable order) are the
+    new_n = n - q variables left, each pivot variable is replaced by its
+    expression in them, and every other form is rewritten there.
     new_n = 0 means the linear forms span every variable.
     """
     linear_forms = list(linear_forms)
@@ -185,23 +138,30 @@ def eliminate_linear(linear_forms, other_forms, p: int):
     if not linear_forms:
         return (other_forms[0].n if other_forms else 0), other_forms
     n = linear_forms[0].n
-    order = _variable_order(n)
     acc = RankAccumulator(n, p)
-    acc.add_rows(np.stack([f.coeffs[order] for f in linear_forms]))
-    q = acc.rank
-    if q >= n:
+    # a linear form lists x_v's coefficient at the colex rank of e_v
+    by_variable = rank_rows(np.eye(n, dtype=np.int64))
+    acc.add_rows(np.stack([f.coeffs[by_variable] for f in linear_forms]))
+    m = n - acc.rank
+    if m == 0:
         return 0, []
-    # x_pivot = -(rest of its row); expressions involve free variables only.
-    substitutions = sorted(zip(acc.pivots.tolist(), (-acc.basis) % p), reverse=True)
-    forms = other_forms
-    pending = [expr.copy() for _, expr in substitutions]
-    for step, (v, _) in enumerate(substitutions):
-        expr = pending[step]
-        # expr lists coefficients by variable; a linear form, by colex rank
-        replacement = np.empty(n - step - 1, np.int64)
-        replacement[_variable_order(n - step - 1)] = np.delete(expr, v)
-        forms = [substitute_out(f, v, replacement, p) for f in forms]
-        for later in range(step + 1, q):
-            # the coefficient at v is zero (RREF), so the column just drops
-            pending[later] = np.delete(pending[later], v)
-    return n - q, forms
+    free = np.setdiff1d(np.arange(n), acc.pivots)
+    # image[v] = x_v in the free variables: itself, or minus its RREF row
+    image = np.zeros((n, m), np.int64)
+    image[free, np.arange(m)] = 1
+    image[acc.pivots] = -acc.basis[:, free] % p
+    coeffs = np.zeros((n, m), np.int64)
+    coeffs[:, rank_rows(np.eye(m, dtype=np.int64))] = image
+    images = [HomogeneousForm(m, 1, row) for row in coeffs]
+
+    def rewrite(f: HomogeneousForm) -> HomogeneousForm:
+        out = np.zeros(grade_size(m, f.degree), np.int64)
+        for exponent, c in zip(exponents(n, f.degree), f.coeffs):
+            if c:
+                term = HomogeneousForm(m, 0, [c])
+                for v in np.repeat(np.arange(n), exponent):
+                    term = multiply(term, images[v], p)
+                out += term.coeffs
+        return HomogeneousForm(m, f.degree, out % p)
+
+    return m, [rewrite(f) for f in other_forms]

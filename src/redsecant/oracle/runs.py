@@ -492,8 +492,6 @@ def oracle_run(inst: ProblemInstance, cfg: PrimeFieldConfig,
     """
     n, l = inst.n, inst.l
     part = inst.partition
-    if l < 1:
-        raise ValueError(f"need l >= 1, got {l}")
     d = part.d
     big_n = grade_size(n, d)
     elim = _use_elimination(part)
@@ -522,8 +520,6 @@ def oracle_run(inst: ProblemInstance, cfg: PrimeFieldConfig,
             f"internal error: oracle dimension {secant_dim} exceeds the "
             f"expected dimension {exp.expected} for {inst}"
         )
-    if min(best) < 0:
-        raise RuntimeError(f"internal error: negative Hilbert value for {inst}")
     return OracleRun(
         instance=inst,
         p=cfg.p,

@@ -16,28 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .combinatorics import PartitionLike, as_partition
-
-
-def _render_poly(pairs: Iterable[tuple[int, int]]) -> str:
-    """Human-readable polynomial in t, e.g. '1 - t^4 - 2t^5 + 2t^7'."""
-    chunks: list[str] = []
-    for e, c in pairs:
-        if c == 0:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            t = "t" if e == 1 else f"t^{e}"
-            body = t if mag == 1 else f"{mag}{t}"
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(chunks) if chunks else "0"
 
 
 @dataclass(frozen=True)
@@ -67,15 +48,6 @@ class TruncatedSeries:
         if j < 0 or j > self.bound:
             raise IndexError(f"degree {j} outside window 0..{self.bound}")
         return self.coeffs[j]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __str__(self) -> str:
-        return _render_poly(enumerate(self.coeffs))
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r})"
@@ -131,9 +103,6 @@ class SeriesNumerator:
             if e <= bound:
                 out[e] = c
         return TruncatedSeries._trusted(tuple(out))
-
-    def __str__(self) -> str:
-        return _render_poly(self.terms)
 
     def __repr__(self) -> str:
         return f"SeriesNumerator({list(self.terms)!r})"

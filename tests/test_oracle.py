@@ -36,7 +36,6 @@ from redsecant.oracle import (
     rank_exponent,
     rank_of,
     rank_rows,
-    substitute_out,
     tangent_generators,
     unrank_exponent,
     wlp_consequence_check,
@@ -519,22 +518,6 @@ class TestForms:
             assert g.degree == want.degree
             assert np.array_equal(g.coeffs, want.coeffs), (degrees, k)
 
-    @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=5),
-           st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_substitute_out_evaluates_at_the_replacement(self, n, d, data):
-        p = 10007
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        v = data.draw(st.integers(0, n - 1))
-        form = random_form(n, d, p, rng)
-        lin = random_form(n - 1, 1, p, rng)
-        out = substitute_out(form, v, lin.coeffs, p)
-        assert (out.n, out.degree) == (n - 1, d)
-        for _ in range(3):
-            y = rng.integers(0, p, size=n - 1).tolist()
-            x = y[:v] + [_evaluate(lin, y, p)] + y[v:]
-            assert _evaluate(out, y, p) == _evaluate(form, x, p)
-
     def test_eliminate_linear_is_exact_on_special_forms(self):
         """x0 = x1 - 3 x2 on the zero set of the linear form; and the ideal
         (x0 - x1, x0^2 - x1^2) is (x0 - x1), so the quadric maps to zero."""
@@ -581,10 +564,10 @@ class TestForms:
     def test_eliminate_linear_across_leaves_with_dependent_forms(self):
         """More linear forms than one Gauss-Jordan leaf holds, a quarter of
         them combinations of the others, and two variables in none of
-        them.  The variables substituted away, highest first, are the
-        pivots of the reduced echelon form; each reduced form takes its
-        original's value where the linear forms vanish; and the Hilbert
-        value at degree 2 is that of the naive rows."""
+        them.  Each reduced form takes its original's value where the
+        linear forms vanish, with the pivots of the reduced echelon form
+        as the variables substituted away; and the Hilbert value at
+        degree 2 is that of the naive rows."""
         p, n, q, extra = 10007, 40, 36, 12
         assert q + extra > _LEAF
         rng = np.random.default_rng(23)
@@ -592,7 +575,7 @@ class TestForms:
         base[:, [3, 11]] = 0
         var_rows = np.vstack([base, rng.integers(0, p, size=(extra, q)) @ base % p])
         var_rows = var_rows[rng.permutation(q + extra)]
-        order = forms._variable_order(n)
+        order = np.argsort(exponents(n, 1).argmax(axis=1))
         lin = []
         for row in var_rows:
             coeffs = np.zeros(n, np.int64)
@@ -602,18 +585,8 @@ class TestForms:
         rref = _reference_rref(var_rows, p)
         pivots = (rref != 0).argmax(axis=1)
         assert len(rref) == q and 3 not in pivots and 11 not in pivots
-        substituted = []
-        real = forms.substitute_out
-
-        def record(form, v, replacement, p):
-            substituted.append(v)
-            return real(form, v, replacement, p)
-
-        with mock.patch.object(forms, "substitute_out", record):
-            new_n, reduced = eliminate_linear(lin, others, p)
+        new_n, reduced = eliminate_linear(lin, others, p)
         assert new_n == n - q
-        assert substituted == [v for v in sorted(pivots.tolist(), reverse=True)
-                               for _ in others]
         free = np.setdiff1d(np.arange(n), pivots)
         for _ in range(2):
             y = rng.integers(0, p, size=new_n)
@@ -1021,8 +994,7 @@ class TestOracleRuns:
                             lambda v, *a: sampled.append(v) or real(v, *a))
         for name in ("tangent_generators", "_point_generators"):
             monkeypatch.setattr(runs, name, refuse)
-        for name in ("eliminate_linear", "substitute_out"):
-            monkeypatch.setattr(forms, name, refuse)
+        monkeypatch.setattr(forms, "eliminate_linear", refuse)
         run = oracle_run(inst(n, l, parts), PrimeFieldConfig(trials=2),
                          want_hilbert=True)
         assert run.eliminated and run.columns == grade_size(n_vars, sum(parts))

@@ -146,13 +146,13 @@ def eliminate_linear(linear_forms, other_forms, p: int):
     if m == 0:
         return 0, []
     free = np.setdiff1d(np.arange(n), acc.pivots)
-    # image[v] = x_v in the free variables: itself, or minus its RREF row
+    # image[v] = x_v in the free variables, the j-th at the colex rank of
+    # e_j: itself, or minus its RREF row
+    col = rank_rows(np.eye(m, dtype=np.int64))
     image = np.zeros((n, m), np.int64)
-    image[free, np.arange(m)] = 1
-    image[acc.pivots] = -acc.basis[:, free] % p
-    coeffs = np.zeros((n, m), np.int64)
-    coeffs[:, rank_rows(np.eye(m, dtype=np.int64))] = image
-    images = [HomogeneousForm(m, 1, row) for row in coeffs]
+    image[free, col] = 1
+    image[acc.pivots[:, None], col] = -acc.basis[:, free] % p
+    images = [HomogeneousForm(m, 1, row) for row in image]
 
     def rewrite(f: HomogeneousForm) -> HomogeneousForm:
         out = np.zeros(grade_size(m, f.degree), np.int64)

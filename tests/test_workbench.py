@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from redsecant import cli, workbench
 from redsecant.combinatorics import Partition, ProblemInstance
 from redsecant.oracle import PrimeFieldConfig, runs
+from redsecant.predictor import Remark510Result
 from redsecant.workbench import (
     SweepConfig,
     SweepRow,
@@ -297,6 +298,52 @@ def test_proven_disagreement_is_an_error_state(monkeypatch):
     assert conjectural.agree is False
     assert conjectural.error is None
     assert conjectural.finding.startswith("conjectural disagreement")
+
+
+@pytest.fixture
+def oracle_one_too_many(monkeypatch):
+    """workbench.oracle_run returns the real run, one dimension too high."""
+    real = workbench.oracle_run
+
+    def one_too_many(inst, cfg):
+        run = real(inst, cfg)
+        return dataclasses.replace(run, secant_dim=run.secant_dim + 1)
+
+    monkeypatch.setattr(workbench, "oracle_run", one_too_many)
+
+
+def test_summary_files_each_disagreement_in_its_bucket(oracle_one_too_many):
+    """A sweep's own summary counts a proven disagreement as an error and
+    a conjectural one as a finding, each in its status bucket."""
+    rows = [verify_case(ProblemInstance(3, 2, "9,7,2"), FAST_ORACLE),
+            verify_case(ProblemInstance(4, 3, "3,2,2"), FAST_ORACLE)]
+    summary = workbench._summarize(rows, small_config())
+    assert summary["disagree"] == 2 and summary["agree"] == 0
+    assert summary["proven_disagreements"] == 1
+    assert summary["errors"] == [rows[0].error]
+    assert summary["findings"] == [rows[1].finding]
+    assert summary["by_status"]["proven"]["disagree"] == 1
+    assert summary["by_status"]["conjectural"]["disagree"] == 1
+
+
+def test_remark_region_scan_tallies_nonpositive_g_and_failures(monkeypatch):
+    """With g = -1 on every cell and the implication failing on the first
+    cell only, every cell is nonpositive and that one cell is listed."""
+    cells = []
+
+    def fake(n, l, part):
+        cells.append((n, l, part))
+        return Remark510Result(g=-1, implication_holds=len(cells) > 1)
+
+    monkeypatch.setattr(workbench, "remark510_check", fake)
+    got = remark_region_scan(8)
+    n, l, part = cells[0]
+    assert got["region_cells"] == len(cells) > 1
+    assert got["g_positive"] == 0
+    assert got["g_nonpositive"] == got["region_cells"]
+    assert got["implication_holds"] == got["region_cells"] - 1
+    assert got["failures"] == [{"n": n, "l": l, "s": part.s,
+                                "d1": part.parts[0], "g": -1}]
 
 
 def test_remark_region_scan_small_bound():
@@ -692,6 +739,27 @@ class TestCli:
                          "--d-max", "2", "--out", str(tmp_path / "x.csv")])
         assert code == 3
         capsys.readouterr()
+
+    def test_sweep_exits_3_on_a_disagreement_it_finds(self, capsys, tmp_path,
+                                                       oracle_one_too_many):
+        """The real sweep and summary, with every oracle one too high."""
+        code = cli.main(["sweep", "--n-range", "3:3", "--l-range", "2:2",
+                         "--d-max", "3", "--workers", "1", "--trials", "1",
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["proven_disagreements"] == len(summary["errors"]) >= 1
+
+    def test_verify_prints_a_conjectural_disagreement_as_a_finding(
+            self, capsys, oracle_one_too_many):
+        assert cli.main(["verify", "--n", "4", "--l", "3", "--partition",
+                         "3,2,2", "--trials", "1"]) == 0
+        assert "finding: conjectural disagreement" in capsys.readouterr().out
+
+    def test_sweep_range_with_a_non_integer_end_exits_2(self, capsys, tmp_path):
+        assert cli.main(["sweep", "--n-range", "3:x", "--l-range", "2:2",
+                         "--d-max", "3", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "range must look like A:B" in capsys.readouterr().err
 
     def test_proven_disagreement_exits_3(self, capsys, monkeypatch):
         real = verify_case

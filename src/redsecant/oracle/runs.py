@@ -204,8 +204,7 @@ def _point_generators(n: int, parts: Sequence[int], p: int, seed: int,
     return tangent_generators(factors, p)
 
 
-def ideal_piece_rank(generators: Sequence[HomogeneousForm], j: int, p: int,
-                     max_columns: Optional[int] = None) -> int:
+def ideal_piece_rank(generators: Sequence[HomogeneousForm], j: int, p: int) -> int:
     """Rank over Z/p of the degree-j piece of the ideal the forms generate.
 
     The piece is spanned by m * G for every generator G and every monomial
@@ -214,13 +213,8 @@ def ideal_piece_rank(generators: Sequence[HomogeneousForm], j: int, p: int,
     contribute nothing.  The rows actually fed to the rank kernel are
     fewer (see _ideal_piece), and they are stacked into blocks of at most
     _BATCH_ENTRIES entries, so the kernel sees few large blocks while peak
-    memory stays flat.  With max_columns given, a piece wider than that
-    raises ResourceGuardExceeded before any row is built.
+    memory stays flat.
     """
-    if max_columns is not None and generators:
-        ncols = grade_size(generators[0].n, j)
-        if ncols > max_columns:
-            raise ResourceGuardExceeded(ncols, max_columns, f"degree-{j} piece")
     acc = _ideal_piece(generators, j, p)
     return 0 if acc is None else acc.rank
 

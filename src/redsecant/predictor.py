@@ -367,9 +367,11 @@ def threshold_l0(family: str, n: int, d: int) -> int:
     form:
 
     * balanced ([d/2, d/2], d even): least l >= n/2 with
-      N <= 2*l*B + l - 2*l^2 where B = C(d/2+n-1, n-1); the scan also stops
-      at 2*l >= B, where filling holds regardless (the tangent spaces of
-      that many points already span, since N <= B^2 - B there).
+      N <= 2*l*B + l - 2*l^2 where B = C(d/2+n-1, n-1), or with 2*l >= B,
+      where filling holds regardless (the tangent spaces of that many
+      points already span, since N <= B^2 - B there).  While 2*l < B the
+      right side increases with l, so the l that satisfy it are those from
+      l0 on, and a bisection on [n/2, B/2] finds l0.
     * linear_factor ([d-1, 1], d >= 3) and reducible_forms (d >= 2):
       least l >= n/2 with C(d-l+n-1, d) <= l*(n-l); always at most n-1.
       In u = n - l, divided by u, the condition reads
@@ -386,11 +388,14 @@ def threshold_l0(family: str, n: int, d: int) -> int:
             raise ValueError(f"balanced family needs even d >= 2, got d={d}")
         big_b = binom(d // 2 + n - 1, n - 1)
         ambient_n = binom(d + n - 1, n - 1)
-        l = (n + 1) // 2
-        while True:
+        lo, hi = (n + 1) // 2, (big_b + 1) // 2  # B >= n, and hi fills
+        while lo < hi:
+            l = (lo + hi) // 2
             if ambient_n <= 2 * l * big_b + l - 2 * l * l or 2 * l >= big_b:
-                return l
-            l += 1
+                hi = l
+            else:
+                lo = l + 1
+        return lo
     min_d = 3 if family == "linear_factor" else 2
     if d < min_d:
         raise ValueError(f"family {family} needs d >= {min_d}, got d={d}")

@@ -12,6 +12,7 @@ Identical config and seed produce byte-identical CSV and JSON output.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -68,35 +69,25 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 _SPAWN = multiprocessing.get_context("spawn")
 
 
-class _OneBlasThreadProcess(_SPAWN.Process):
-    """A spawned process whose interpreter loads BLAS with one thread,
-    unless the user set a thread count.  The pool already runs one worker
-    per CPU, and a forked worker would keep the parent's BLAS threads: two
-    workers on 2 CPUs then ran criterion 4 in 40 s instead of 19 s."""
-
-    def start(self):
-        unset = [var for var in _BLAS_THREAD_VARS if var not in os.environ]
-        os.environ.update(dict.fromkeys(unset, "1"))
-        try:
-            super().start()
-        finally:
-            for var in unset:
-                del os.environ[var]
-
-
-class _SweepContext(type(_SPAWN)):
-    Process = _OneBlasThreadProcess
-
-
-class ProcessPoolExecutor(futures.ProcessPoolExecutor):
-    """The sweep's process pool, of _OneBlasThreadProcess workers.
-
-    They are spawned, so a script that calls sweep with more than one
-    worker must do so under an `if __name__ == "__main__":` guard.
+@contextlib.contextmanager
+def _worker_pool(workers: int):
+    """A pool of `workers` spawned processes that load BLAS with one
+    thread unless the user set a count.  The pool runs a worker per CPU,
+    and workers with the parent's BLAS threads, as forked ones keep, ran
+    criterion 4 on 2 CPUs in 40 s instead of 19 s.  Every worker starts
+    inside the block: from submit, on the calling thread, and map submits
+    every chunk before it returns.  Spawned workers import the caller's
+    main module, so a script that sweeps on more than one worker needs an
+    `if __name__ == "__main__":` guard.
     """
-
-    def __init__(self, max_workers: int):
-        super().__init__(max_workers, mp_context=_SweepContext())
+    unset = [var for var in _BLAS_THREAD_VARS if var not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        with futures.ProcessPoolExecutor(workers, mp_context=_SPAWN) as pool:
+            yield pool
+    finally:
+        for var in unset:
+            del os.environ[var]
 
 
 @dataclass(frozen=True)
@@ -192,17 +183,28 @@ def _cell_seed(base: int, family: str, n: int, l: int, parts: tuple[int, ...]) -
 
 
 def _family_report(family: str, inst: ProblemInstance) -> PredictionReport:
-    if family == "linear_factor":
-        return linear_factor_predict(inst.n, inst.l, inst.d)
-    if family == "reducible_forms":
-        return reducible_forms_predict(inst.n, inst.l, inst.d)
-    return predict(inst)
+    """The family's prediction for inst.  An unknown family, or one whose
+    predictor stands in another partition for inst's, raises ValueError."""
+    if family not in SWEEP_FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected {SWEEP_FAMILIES}")
+    family_predict = {"linear_factor": linear_factor_predict,
+                      "reducible_forms": reducible_forms_predict}.get(family)
+    if family_predict is None:
+        return predict(inst)
+    report = family_predict(inst.n, inst.l, inst.d)
+    if report.instance != inst:
+        raise ValueError(f"the {family} family predicts partition "
+                         f"{report.instance.partition.text()}, not "
+                         f"{inst.partition.text()}")
+    return report
 
 
 def verify_case(inst: ProblemInstance, cfg: PrimeFieldConfig,
                 family: str = "general",
                 predictor_only: bool = False) -> SweepRow:
-    """Run the prediction and the oracle for one instance and compare."""
+    """Run the prediction and the oracle for one instance and compare.
+    A family outside SWEEP_FAMILIES, or one that does not take inst's
+    partition, raises ValueError before the oracle runs."""
     report = _family_report(family, inst)
     if predictor_only:
         return SweepRow(family, report)
@@ -421,7 +423,7 @@ def sweep(cfg: SweepConfig) -> tuple[list[SweepRow], dict]:
     """Execute the grid and return (rows in enumeration order, summary).
 
     Cells run on a process pool of min(workers, cells, CPUs) processes,
-    spawned with single-threaded BLAS (see ProcessPoolExecutor); a single
+    spawned with single-threaded BLAS (see _worker_pool); a single
     collector writes results in enumeration order regardless of completion
     order, so output is deterministic.  render_csv and render_json turn
     the rows into a report.  The grid was checked when cfg was built (see
@@ -436,6 +438,6 @@ def sweep(cfg: SweepConfig) -> tuple[list[SweepRow], dict]:
     if workers <= 1:
         rows: list[SweepRow] = [_run_cell(cell) for cell in cells]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _worker_pool(workers) as pool:
             rows = list(pool.map(_run_cell, cells, chunksize=4))
     return rows, _summarize(rows, cfg)

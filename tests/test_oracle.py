@@ -794,12 +794,6 @@ class TestIdealPieceRank:
         rows = _brute_rows(gens, j, p)
         assert acc.rank == rank_of(np.array(rows), p)
 
-    def test_column_guard(self):
-        rng = np.random.default_rng(3)
-        f = random_form(4, 2, P_TEST, rng)
-        with pytest.raises(ResourceGuardExceeded):
-            ideal_piece_rank([f], 6, P_TEST, max_columns=10)
-
 
 class TestSketchedBlocks:
     """Blocks of a piece built on the degree below are fed as random

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -388,6 +389,27 @@ class TestThresholds:
             for n in range(3, 61):
                 for d in range(min_d, 16):
                     assert threshold_l0(family, n, d) == scan(n, d), (family, n, d)
+
+    def test_balanced_bisection_matches_the_scan(self):
+        """The reference is the upward scan from l = ceil(n/2) that the
+        bisection on [n/2, B/2] replaced."""
+        def scan(n, d):
+            big_b = binom(d // 2 + n - 1, n - 1)
+            ambient_n = binom(d + n - 1, n - 1)
+            l = (n + 1) // 2
+            while ambient_n > 2 * l * big_b + l - 2 * l * l and 2 * l < big_b:
+                l += 1
+            return l
+
+        for n in range(3, 41):
+            for d in range(2, 13, 2):
+                assert threshold_l0("balanced", n, d) == scan(n, d), (n, d)
+
+    def test_wide_balanced_threshold_is_quick(self):
+        # the scan stepped through all 41,295,770 values here
+        start = time.perf_counter()
+        assert threshold_l0("balanced", 30000, 4) == 41295770
+        assert time.perf_counter() - start < 0.5
 
     def test_wide_thresholds_are_the_least_admissible_l(self):
         # the scan takes seconds here; l0 satisfies C(d-l+n-1, d) <= l(n-l)

@@ -1,9 +1,8 @@
 """Homogeneous forms over Z/p on the dense graded monomial basis.
 
 A form is its coefficient vector, indexed by the colex rank of the exponent
-vector.  A product of forms of degrees a and b sums the coefficient pairs
-that land on each monomial, grouped by an order read once per (n, a, b)
-from the multiplication table and cached.  Tangent-cone generators
+vector.  A product of forms of degrees a and b adds each coefficient pair into
+the monomial its multiplication table names.  Tangent-cone generators
 G_k = prod_{i != k} F_i come from prefix and suffix partial products
 (3r - 6 products for r >= 3 factors, none for two), so neither
 polynomial division nor a product by the unit form is ever needed.
@@ -18,7 +17,6 @@ no run of the oracle or the sweep calls it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -73,29 +71,17 @@ def random_form(n: int, e: int, p: int, rng: np.random.Generator) -> Homogeneous
     return HomogeneousForm(n, e, rng.integers(0, p, size=grade_size(n, e), dtype=np.int64))
 
 
-@lru_cache(maxsize=64)
-def _product_plan(n: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """The order that groups the entries of mul_table(n, a, b) by the
-    monomial they land on, and where each monomial's group starts."""
-    flat = mul_table(n, a, b).ravel()
-    order = np.argsort(flat, kind="stable")
-    landed = flat[order]
-    starts = np.flatnonzero(np.diff(landed, prepend=-1))
-    # every monomial of degree a + b is a product, so each has a group
-    assert starts.size == grade_size(n, a + b)
-    order.flags.writeable = False
-    starts.flags.writeable = False
-    return order, starts
-
-
 def multiply(f: HomogeneousForm, g: HomogeneousForm, p: int) -> HomogeneousForm:
     if f.n != g.n:
         raise ValueError(f"variable counts differ: {f.n} vs {g.n}")
-    order, starts = _product_plan(f.n, f.degree, g.degree)
+    # the table first, so its guard refuses before the product is formed; a
+    # monomial gets at most isqrt(_TABLE_LIMIT) residues < 2^27: exact int64
+    table = mul_table(f.n, f.degree, g.degree)
     prod = np.multiply.outer(f.coeffs, g.coeffs)
     prod %= p
-    out = np.add.reduceat(prod.ravel()[order], starts) % p
-    return HomogeneousForm(f.n, f.degree + g.degree, out)
+    out = np.zeros(grade_size(f.n, f.degree + g.degree), np.int64)
+    np.add.at(out, table, prod)
+    return HomogeneousForm(f.n, f.degree + g.degree, out % p)
 
 
 def tangent_generators(factors, p: int) -> tuple[HomogeneousForm, ...]:

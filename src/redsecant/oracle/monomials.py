@@ -101,7 +101,10 @@ def unrank_exponent(n: int, d: int, rank: int) -> tuple[int, ...]:
     return tuple(int(v) for v in exponents(n, d)[rank])
 
 
-# mul_table refuses shapes with more entries than this (640 MB of int64).
+# Tables of at most this many entries (8 MB of int64) are cached; the rows
+# of larger ones are computed when asked for.
+_CACHED_ENTRIES = 1 << 20
+# table_rows refuses requests for more entries than this (640 MB of int64).
 _TABLE_LIMIT = 80_000_000
 
 
@@ -119,29 +122,43 @@ class ResourceGuardExceeded(RuntimeError):
         self.context = context
 
 
-@lru_cache(maxsize=256)
 def mul_table(n: int, a: int, b: int) -> np.ndarray:
     """mul_table(n, a, b)[i, j] = rank of exponents(n,a)[i] + exponents(n,b)[j].
 
-    Dense, cached and read-only.  Row i lists, in the order of
-    exponents(n, b), the columns that x^exponents(n,a)[i] * G occupies for
-    any degree-b form G: form products scatter through it and Terracini
-    rows are gathered from it.  Shapes above _TABLE_LIMIT entries raise
-    ResourceGuardExceeded before anything is built.  The Terracini row
-    builders (_shift_table and _generator_rows in runs.py) ask only for
-    much smaller tables and take the rows of larger shapes from
-    table_rows, block by block.
+    Row i lists, in the order of exponents(n, b), the columns that
+    x^exponents(n,a)[i] * G occupies for any degree-b form G: form
+    products scatter through it and Terracini rows are gathered from it.
+    It is every row of table_rows(n, a, b, ...), under the same rule.
     """
+    table = _cached_table(n, a, b)
+    return table_rows(n, a, b, 0, grade_size(n, a)) if table is None else table
+
+
+@lru_cache(maxsize=256)
+def _cached_table(n: int, a: int, b: int) -> np.ndarray | None:
     rows = grade_size(n, a)
-    if rows * grade_size(n, b) > _TABLE_LIMIT:
-        raise ResourceGuardExceeded(rows * grade_size(n, b), _TABLE_LIMIT,
-                                    f"mul_table({n}, {a}, {b})", "table", "entries")
-    out = table_rows(n, a, b, 0, rows)
+    if rows * grade_size(n, b) > _CACHED_ENTRIES:
+        return None
+    out = _computed_rows(n, a, b, 0, rows)
     out.flags.writeable = False
     return out
 
 
 def table_rows(n: int, a: int, b: int, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi of mul_table(n, a, b), computed without the table."""
+    """Rows lo..hi of mul_table(n, a, b): a read-only slice of the cached
+    table, or rows computed into a new array.  A request for more than
+    _TABLE_LIMIT entries raises ResourceGuardExceeded before anything is
+    built."""
+    table = _cached_table(n, a, b)
+    if table is not None:
+        return table[lo:hi]
+    size = len(range(grade_size(n, a))[lo:hi]) * grade_size(n, b)
+    if size > _TABLE_LIMIT:
+        raise ResourceGuardExceeded(size, _TABLE_LIMIT, f"mul_table({n}, {a}, {b})",
+                                    "table", "entries")
+    return _computed_rows(n, a, b, lo, hi)
+
+
+def _computed_rows(n: int, a: int, b: int, lo: int, hi: int) -> np.ndarray:
     sums = exponents(n, a)[lo:hi, None, :] + exponents(n, b)[None, :, :]
     return rank_rows(sums.reshape(-1, n)).reshape(sums.shape[0], -1)

@@ -85,11 +85,6 @@ from .monomials import ResourceGuardExceeded, grade_size, mul_table, table_rows
 
 # Entries in one block of rows handed to the rank kernel.
 _BATCH_ENTRIES = 250_000
-# Largest multiplication table (8 MB of int64) that ideal_piece_rank
-# gathers rows from; a generator with more rows x coefficients than this
-# takes its columns from table_rows block by block instead, so no large
-# table is ever built or cached.
-_GATHER_ENTRIES = 1 << 20
 
 # Sketch rows, margin and block threshold of _feed_sketched.
 _SKETCH_ROWS = 32
@@ -221,25 +216,14 @@ def ideal_piece_rank(generators: Sequence[HomogeneousForm], j: int, p: int) -> i
 
 def _shift_table(n: int, a: int, b: int) -> np.ndarray:
     """mul_table(n, a, b) in reversed colex on both column spaces: row m
-    sends column c of degree b to the column of x^m * x^c in degree a + b.
-    Its rows are computed uncached when the table would hold more than
-    _GATHER_ENTRIES entries."""
-    rows = grade_size(n, a)
-    if rows * grade_size(n, b) <= _GATHER_ENTRIES:
-        table = mul_table(n, a, b)
-    else:
-        table = table_rows(n, a, b, 0, rows)
-    return grade_size(n, a + b) - 1 - table[:, ::-1]
+    sends column c of degree b to the column of x^m * x^c in degree a + b."""
+    return grade_size(n, a + b) - 1 - mul_table(n, a, b)[:, ::-1]
 
 
 def _generator_rows(g: HomogeneousForm, j: int) -> Callable:
     """rows(lo, hi): the columns, in reversed colex, and values of the
     rows m * g for the monomials m of degree j - deg g ranked lo..hi."""
-    n, a, b = g.n, j - g.degree, g.degree
-    last = grade_size(n, j) - 1
-    if grade_size(n, a) * g.coeffs.size <= _GATHER_ENTRIES:
-        table = mul_table(n, a, b)
-        return lambda lo, hi: (last - table[lo:hi], g.coeffs)
+    n, a, b, last = g.n, j - g.degree, g.degree, grade_size(g.n, j) - 1
     return lambda lo, hi: (last - table_rows(n, a, b, lo, hi), g.coeffs)
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import time
@@ -40,7 +41,7 @@ from redsecant.oracle import (
     unrank_exponent,
     wlp_consequence_check,
 )
-from redsecant.oracle import forms, modmat, runs
+from redsecant.oracle import forms, modmat, monomials, runs
 from redsecant.oracle.modmat import _CHUNK, _LEAF, P_LIMIT
 from redsecant.predictor import predict
 from redsecant.series import (
@@ -55,6 +56,18 @@ from redsecant.workbench import SweepConfig, sweep
 P_TEST = 1_000_003
 # The largest prime below P_LIMIT: every float64 product takes the split path.
 P_MAX = 94_906_249
+
+
+@contextlib.contextmanager
+def _cached_entries(limit):
+    """Cache only multiplication tables of at most limit entries, starting
+    from an empty cache and leaving one behind."""
+    monomials._cached_table.cache_clear()
+    try:
+        with mock.patch.object(monomials, "_CACHED_ENTRIES", limit):
+            yield
+    finally:
+        monomials._cached_table.cache_clear()
 
 
 def inst(n, l, parts):
@@ -624,10 +637,10 @@ class TestIdealPieceRank:
         each with colex column c at N - 1 - c, and the rank is that of all
         the brute-force rows.  Mixed degrees with constants, zero forms
         (one of the lowest degree), a generator above degree j and p = 7,
-        where random forms often degenerate, are drawn.  The gather limit and the block size are drawn small as
-        well, so rows whose table is not built and blocks that split a
-        generator are covered; with the limit at 0 every table is
-        refused."""
+        where random forms often degenerate, are drawn.  The cached-table
+        limit and the block size are drawn small as well, so rows whose
+        table is not cached and blocks that split a generator are covered;
+        with the limit at 0 no table is cached and every row is computed."""
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         degrees = data.draw(st.lists(st.integers(0, j), min_size=1, max_size=5))
         gens = [random_form(n, e, p, rng) for e in degrees]
@@ -636,7 +649,7 @@ class TestIdealPieceRank:
                     HomogeneousForm(n, low, np.zeros(grade_size(n, low))))
         gens.append(HomogeneousForm(n, max(0, j - 1), np.zeros(grade_size(n, max(0, j - 1)))))
         gens.append(random_form(n, j + 1, p, rng))
-        gather = data.draw(st.sampled_from([runs._GATHER_ENTRIES, 0, grade_size(n, j)]))
+        cached = data.draw(st.sampled_from([monomials._CACHED_ENTRIES, 0, grade_size(n, j)]))
         batch = data.draw(st.sampled_from([runs._BATCH_ENTRIES, 1, 3 * grade_size(n, j)]))
         fed = []
         add_rows = RankAccumulator.add_rows
@@ -645,12 +658,7 @@ class TestIdealPieceRank:
             fed.append((acc, np.array(rows)))
             return add_rows(acc, rows)
 
-        def refuse(*args):
-            raise ValueError("table refused")
-
-        table = refuse if gather == 0 else runs.mul_table
-        with mock.patch.object(runs, "_GATHER_ENTRIES", gather), \
-                mock.patch.object(runs, "mul_table", table), \
+        with _cached_entries(cached), \
                 mock.patch.object(runs, "_BATCH_ENTRIES", batch), \
                 mock.patch.object(RankAccumulator, "add_rows", record):
             acc = runs._ideal_piece(gens, j, p)
@@ -756,7 +764,7 @@ class TestIdealPieceRank:
         colex column c at N - 1 - c; the rows with x_{n-1} dividing m lie in
         the shadow's span.  The rank is that of all the rows.  Generators
         of mixed degrees, a zero form, one above degree j, small blocks and
-        refused tables are drawn."""
+        no cached tables are drawn."""
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         degrees = data.draw(st.lists(st.integers(0, j - 1), min_size=1, max_size=3))
         degrees += [j] * data.draw(st.integers(0, 2))
@@ -765,7 +773,7 @@ class TestIdealPieceRank:
         gens.append(random_form(n, j + 1, p, rng))
         below = runs._ideal_piece(gens, j - 1, p)
         assume(below is not None)
-        gather = data.draw(st.sampled_from([runs._GATHER_ENTRIES, 0]))
+        cached = data.draw(st.sampled_from([monomials._CACHED_ENTRIES, 0]))
         batch = data.draw(st.sampled_from([runs._BATCH_ENTRIES, 1, 3 * grade_size(n, j)]))
         fed = []
         add_rows = RankAccumulator.add_rows
@@ -774,12 +782,7 @@ class TestIdealPieceRank:
             fed.extend(np.array(rows))
             return add_rows(acc, rows)
 
-        def refuse(*args):
-            raise ValueError("table refused")
-
-        table = refuse if gather == 0 else runs.mul_table
-        with mock.patch.object(runs, "_GATHER_ENTRIES", gather), \
-                mock.patch.object(runs, "mul_table", table), \
+        with _cached_entries(cached), \
                 mock.patch.object(runs, "_BATCH_ENTRIES", batch), \
                 mock.patch.object(RankAccumulator, "add_rows", record):
             acc = runs._ideal_piece(gens, j, p, below=below)

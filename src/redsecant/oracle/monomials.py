@@ -106,6 +106,9 @@ def unrank_exponent(n: int, d: int, rank: int) -> tuple[int, ...]:
 _CACHED_ENTRIES = 1 << 20
 # table_rows refuses requests for more entries than this (640 MB of int64).
 _TABLE_LIMIT = 80_000_000
+# Rows are computed in blocks of about this many entries, so a request
+# costs its output plus bounded scratch.
+_BLOCK_ENTRIES = 1 << 16
 
 
 class ResourceGuardExceeded(RuntimeError):
@@ -160,5 +163,10 @@ def table_rows(n: int, a: int, b: int, lo: int, hi: int) -> np.ndarray:
 
 
 def _computed_rows(n: int, a: int, b: int, lo: int, hi: int) -> np.ndarray:
-    sums = exponents(n, a)[lo:hi, None, :] + exponents(n, b)[None, :, :]
-    return rank_rows(sums.reshape(-1, n)).reshape(sums.shape[0], -1)
+    left, right = exponents(n, a)[lo:hi], exponents(n, b)
+    out = np.empty((left.shape[0], right.shape[0]), np.int64)
+    step = max(1, _BLOCK_ENTRIES // right.shape[0])
+    for i in range(0, left.shape[0], step):
+        sums = left[i : i + step, None, :] + right[None, :, :]
+        out[i : i + step] = rank_rows(sums.reshape(-1, n)).reshape(-1, right.shape[0])
+    return out

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import json
 import time
+import tracemalloc
 import warnings
 from functools import reduce
 from unittest import mock
@@ -1198,6 +1199,36 @@ class TestOracleRuns:
             mul_table(4, 50, 49)
         with pytest.raises(ResourceGuardExceeded, match=r"mul_table\(4, 50, 49\)"):
             oracle_run(inst(4, 2, [50, 49, 1]), PrimeFieldConfig(trials=1))
+
+    def test_product_takes_its_table_before_the_product(self):
+        """multiply asks for the table first, so a product past the table
+        guard refuses before the outer product of the coefficients, 4 GB
+        here, is formed."""
+        rng = np.random.default_rng(0)
+        f, g = random_form(4, 50, P_TEST, rng), random_form(4, 49, P_TEST, rng)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceGuardExceeded, match="517714600 entries"):
+                multiply(f, g, P_TEST)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_computed_rows_cost_their_output_and_bounded_scratch(self):
+        """A table too large to cache (C(62, 2)^2 entries) is computed a
+        block of rows at a time, so a request costs its output plus
+        scratch of fixed size."""
+        exponents(3, 60)
+        tracemalloc.start()
+        try:
+            table = monomials.table_rows(3, 60, 60, 0, 1891)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (1891, 1891)
+        assert np.array_equal(table[1000], rank_rows(exponents(3, 60)[1000] + exponents(3, 60)))
+        assert peak < table.nbytes + (64 << 20)
 
 
 class TestWlpConsequence:

@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -716,6 +719,24 @@ class TestCli:
                          "50,49,1"]) == 4
         err = capsys.readouterr().err
         assert err.startswith("resource guard:") and "517714600 entries" in err
+
+    def test_table_guard_exits_4_under_an_address_space_cap(self):
+        """The degree-20 shadow table of [20, 20] in 5 variables has
+        C(24, 4)^2 entries.  Under a 2 GiB address-space cap the command
+        refuses it, exit 4, before anything of that size is allocated."""
+        resource = pytest.importorskip("resource")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        root = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "redsecant.cli", "oracle", "--n", "5", "--l", "2",
+             "--partition", "20,20", "--trials", "1"],
+            env=env, preexec_fn=cap, capture_output=True, timeout=60)
+        assert proc.returncode == 4, proc.stderr.decode(errors="replace")[-2000:]
+        assert b"112911876 entries" in proc.stderr
 
     def test_verify_guard_exits_4(self, capsys):
         assert cli.main(["verify", "--n", "5", "--l", "4", "--partition",

@@ -61,8 +61,8 @@ P_MAX = 94_906_249
 
 @contextlib.contextmanager
 def _cached_entries(limit):
-    """Cache only multiplication tables of at most limit entries, starting
-    from an empty cache and leaving one behind."""
+    """Cache only multiplication tables of at most limit entries, from an
+    empty cache that is emptied again on the way out."""
     monomials._cached_table.cache_clear()
     try:
         with mock.patch.object(monomials, "_CACHED_ENTRIES", limit):

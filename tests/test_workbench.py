@@ -734,7 +734,7 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-m", "redsecant.cli", "oracle", "--n", "5", "--l", "2",
              "--partition", "20,20", "--trials", "1"],
-            env=env, preexec_fn=cap, capture_output=True, timeout=60)
+            env=env, preexec_fn=cap, capture_output=True, timeout=20)
         assert proc.returncode == 4, proc.stderr.decode(errors="replace")[-2000:]
         assert b"112911876 entries" in proc.stderr
 

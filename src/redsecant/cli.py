@@ -304,8 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also scan the spread-partition implication region "
                         "up to this bound")
     p.add_argument("--workers", type=int, default=None,
-                   help="process pool size, at most one per CPU and per "
-                        "cell (default: one per CPU)")
+                   help="process pool size for oracle cells, at most one "
+                        "per CPU and per cell (default: one per CPU); a "
+                        "--predictor-only sweep runs in this process")
     _add_oracle_flags(p)
     p.set_defaults(func=cmd_sweep)
 

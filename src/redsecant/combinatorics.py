@@ -79,7 +79,7 @@ class Partition:
         return sum(1 for p in self.parts if p == d1)
 
     def text(self) -> str:
-        return ",".join(str(p) for p in self.parts)
+        return ",".join(map(str, self.parts))
 
     def __repr__(self) -> str:
         return f"Partition([{self.text()}])"
@@ -176,9 +176,13 @@ def expected_dim(inst: ProblemInstance) -> ExpectedDim:
     how far the parameter count overshoots, which corrects several
     closed-form defect expressions.
     """
-    dim_x = dim_variety(inst.n, inst.partition)
-    count = inst.l * dim_x + inst.l - 1
-    ambient = inst.N - 1
+    return _expected(inst.l, dim_variety(inst.n, inst.partition), inst.N)
+
+
+def _expected(l: int, dim_x: int, N: int) -> ExpectedDim:
+    """expected_dim from l, dim X and N, for a caller that holds them."""
+    count = l * dim_x + l - 1
+    ambient = N - 1
     return ExpectedDim(min(ambient, count), max(0, count - ambient))
 
 

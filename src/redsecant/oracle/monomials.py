@@ -107,8 +107,10 @@ _CACHED_ENTRIES = 1 << 20
 # table_rows refuses requests for more entries than this (640 MB of int64).
 _TABLE_LIMIT = 80_000_000
 # Rows are computed in blocks of about this many entries, so a request
-# costs its output plus bounded scratch.
-_BLOCK_ENTRIES = 1 << 16
+# costs its output plus bounded scratch: under 2 MiB in three variables,
+# a tenth of the 27 MiB table of degree 60 by 60 that runs._shift_table
+# reverses in place.
+_BLOCK_ENTRIES = 1 << 15
 
 
 class ResourceGuardExceeded(RuntimeError):

@@ -81,7 +81,13 @@ from ..combinatorics import ProblemInstance, expected_dim, record_json
 from ..series import expand_power, plus_truncate, predicted_hilbert
 from .forms import HomogeneousForm, random_form, tangent_generators
 from .modmat import P_LIMIT, RankAccumulator, matmul_mod
-from .monomials import ResourceGuardExceeded, grade_size, mul_table, table_rows
+from .monomials import (
+    _BLOCK_ENTRIES,
+    ResourceGuardExceeded,
+    grade_size,
+    mul_table,
+    table_rows,
+)
 
 # Entries in one block of rows handed to the rank kernel.
 _BATCH_ENTRIES = 250_000
@@ -216,8 +222,19 @@ def ideal_piece_rank(generators: Sequence[HomogeneousForm], j: int, p: int) -> i
 
 def _shift_table(n: int, a: int, b: int) -> np.ndarray:
     """mul_table(n, a, b) in reversed colex on both column spaces: row m
-    sends column c of degree b to the column of x^m * x^c in degree a + b."""
-    return grade_size(n, a + b) - 1 - mul_table(n, a, b)[:, ::-1]
+    sends column c of degree b to the column of x^m * x^c in degree a + b.
+    The cached table is read-only and is copied; a computed one is new and
+    is reversed in place, a block of rows at a time, so it costs one table
+    plus bounded scratch."""
+    table = mul_table(n, a, b)
+    last = grade_size(n, a + b) - 1
+    if not table.flags.writeable:
+        return last - table[:, ::-1]
+    step = max(1, _BLOCK_ENTRIES // table.shape[1])
+    for i in range(0, table.shape[0], step):
+        block = table[i : i + step]
+        block[:] = last - block[:, ::-1]
+    return table
 
 
 def _generator_rows(g: HomogeneousForm, j: int) -> Callable:

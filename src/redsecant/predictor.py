@@ -12,6 +12,7 @@ and the g-test for the defectivity implication in the open region.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -19,10 +20,10 @@ from .combinatorics import (
     Partition,
     PartitionLike,
     ProblemInstance,
+    _expected,
     as_partition,
     binom,
     dim_variety,
-    expected_dim,
 )
 from .series import expand_power
 
@@ -57,6 +58,11 @@ class PredictionReport:
 
     def to_json(self) -> dict:
         """Flat JSON object with fixed field names."""
+        return {**self.scalar_json(), "a_seq": list(self.a_seq),
+                "errata": list(self.errata_notes)}
+
+    def scalar_json(self) -> dict:
+        """to_json's fields n through citation, without the two lists."""
         inst = self.instance
         part = inst.partition
         return {
@@ -75,8 +81,6 @@ class PredictionReport:
             "epsilon": self.epsilon,
             "status": self.status,
             "citation": self.citation,
-            "a_seq": list(self.a_seq),
-            "errata": list(self.errata_notes),
         }
 
 
@@ -104,19 +108,22 @@ def syz_dim(n: int, l: int, s: int, d: int) -> int:
 
 
 def alternating_binomial_sum(l: int, n: int, s: int, d: int) -> int:
-    """sum_{k=0..l} (-1)^k C(l,k) C(d-ks+n-1, n-1).
+    """sum_{k=0..l} (-1)^k C(l,k) C(d-ks+n-1, n-1), for n, s >= 1.
 
     This is the l-th finite difference (step s) of the degree-(n-1)
     polynomial j -> C(j+n-1, n-1), so it vanishes whenever l > n-1, provided
     d - l*s + n - 1 >= 0 so that the zero-extension convention never bites.
-    For s >= 1 every term with k*s > d is zero, since then d-ks+n-1 < n-1,
-    so the sum stops at k = min(l, d // s).
+    Every term with k*s > d is zero, since then d-ks+n-1 < n-1, so the sum
+    stops at k = min(l, d // s); below that 0 <= k <= l and d-ks+n-1 >=
+    n-1 >= 0, so each binomial is in the classical range.
     """
-    top = min(l, d // s) if s >= 1 else l
-    return sum(
-        (-1) ** k * binom(l, k) * binom(d - k * s + n - 1, n - 1)
-        for k in range(top + 1)
-    )
+    if min(n, s) < 1:
+        raise ValueError(f"need n and s >= 1, got n={n}, s={s}")
+    total, sign = 0, 1
+    for k in range(min(l, d // s) + 1):
+        total += sign * math.comb(l, k) * math.comb(d - k * s + n - 1, n - 1)
+        sign = -sign
+    return total
 
 
 def _koszul_tail(l: int, n: int, s: int, d: int) -> int:
@@ -132,11 +139,16 @@ def long_formula_dim(inst: ProblemInstance) -> int:
     l*dimX + l - 1 minus the syzygy-flavored correction terms.  Must agree
     with N - 1 - a_d on every non-filling instance; predict() asserts that.
     """
+    return _long_formula(inst, dim_variety(inst.n, inst.partition))
+
+
+def _long_formula(inst: ProblemInstance, dim_x: int) -> int:
+    """long_formula_dim(inst), for a caller that holds dim X."""
     n, l = inst.n, inst.l
     part = inst.partition
     d, s = part.d, part.s
     d1, d2 = part.parts[0], part.parts[1]
-    value = l * dim_variety(n, part) + l - 1
+    value = l * dim_x + l - 1
     value -= _koszul_tail(l, n, s, d)
     value -= binom(l, 2) * binom(2 * d2 - d + n - 1, n - 1)
     value -= l * (l - 1) * binom(d1 + d2 - d + n - 1, n - 1)
@@ -198,12 +210,12 @@ def predict(inst: ProblemInstance) -> PredictionReport:
 
     N = inst.N
     dim_x = dim_variety(n, part)
-    exp = expected_dim(inst)
+    exp = _expected(l, dim_x, N)
     if fills:
         predicted = N - 1
     else:
         predicted = N - 1 - a_seq[d]
-        direct = long_formula_dim(inst)
+        direct = _long_formula(inst, dim_x)
         if direct != predicted:
             raise RuntimeError(
                 f"internal error: dimension formula mismatch for {inst}: "
@@ -417,12 +429,38 @@ def linear_factor_predict(n: int, l: int, d: int) -> PredictionReport:
     dim = N - C(d+n-l-1, d) + l*(n-l) - 1 with a strictly positive defect.
     The status is proven either way.
     """
-    if d < 3:
+    return _linear_factor_checked(predict(_stand_in("linear_factor", n, l, d)))
+
+
+def reducible_forms_predict(n: int, l: int, d: int) -> PredictionReport:
+    """Prediction for the full variety of reducible degree-d forms.
+
+    The union over all two-part (and finer) splittings has the same secant
+    dimensions as its largest component, the [d-1,1] family ([1,1] when
+    d = 2): proven for 2l <= n, proven to fill for l >= l0, and conjectured
+    equal in the window between.  The returned report carries the stand-in
+    partition and a status reflecting the family-level theorem.
+    """
+    return _reducible_forms_checked(predict(_stand_in("reducible_forms", n, l, d)))
+
+
+def _stand_in(family: str, n: int, l: int, d: int) -> ProblemInstance:
+    """The instance a family predictor predicts at (n, l, d): [d-1, 1], or
+    [1, 1] at d = 2, which only the reducible-forms family takes."""
+    if family == "linear_factor" and d < 3:
         raise ValueError(f"linear-factor family needs d >= 3, got d={d}")
+    if d < 2:
+        raise ValueError(f"need d >= 2, got d={d}")
     if l < 2:
         raise ValueError(f"need l >= 2, got l={l}")
-    inst = ProblemInstance(n, l, Partition([d - 1, 1]))
-    report = predict(inst)
+    return ProblemInstance(n, l, Partition([d - 1, 1]) if d >= 3 else Partition([1, 1]))
+
+
+def _linear_factor_checked(report: PredictionReport) -> PredictionReport:
+    """linear_factor_predict's closed-form checks and label, applied to
+    predict()'s report on its stand-in instance."""
+    inst = report.instance
+    n, l, d = inst.n, inst.l, inst.d
     l0 = threshold_l0("linear_factor", n, d)
     if l >= l0:
         if not report.fills:
@@ -460,21 +498,11 @@ def linear_factor_predict(n: int, l: int, d: int) -> PredictionReport:
                    citation="linear factor family [d-1,1]")
 
 
-def reducible_forms_predict(n: int, l: int, d: int) -> PredictionReport:
-    """Prediction for the full variety of reducible degree-d forms.
-
-    The union over all two-part (and finer) splittings has the same secant
-    dimensions as its largest component, the [d-1,1] family ([1,1] when
-    d = 2): proven for 2l <= n, proven to fill for l >= l0, and conjectured
-    equal in the window between.  The returned report carries the stand-in
-    partition and a status reflecting the family-level theorem.
-    """
-    if d < 2:
-        raise ValueError(f"need d >= 2, got d={d}")
-    if l < 2:
-        raise ValueError(f"need l >= 2, got l={l}")
-    lam = Partition([d - 1, 1]) if d >= 3 else Partition([1, 1])
-    report = predict(ProblemInstance(n, l, lam))
+def _reducible_forms_checked(report: PredictionReport) -> PredictionReport:
+    """reducible_forms_predict's threshold check and label, applied to
+    predict()'s report on its stand-in instance."""
+    inst = report.instance
+    n, l, d = inst.n, inst.l, inst.d
     l0 = threshold_l0("reducible_forms", n, d)
     if 2 * l <= n:
         status, citation = "proven", "reducible forms, proper intersection (2l <= n)"

@@ -15,10 +15,11 @@ so no rational number appears.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 from typing import Sequence
 
-from .combinatorics import PartitionLike, as_partition
+from .combinatorics import Partition, PartitionLike, as_partition
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,13 @@ def reducible_numerator(partition: PartitionLike) -> SeriesNumerator:
     terms.extend((d - di, -len(list(same))) for di, same in groupby(part.parts))
     terms.append((d, part.r - 1))
     return SeriesNumerator._trusted(tuple(terms))
+
+
+@lru_cache(maxsize=1024)
+def _numerator(part: Partition) -> SeriesNumerator:
+    """reducible_numerator(part), kept for the partition's later powers: a
+    sweep expands each numerator for dozens of (n, l)."""
+    return reducible_numerator(part)
 
 
 def plus_truncate(x: TruncatedSeries | Sequence[int]) -> TruncatedSeries:
@@ -252,7 +260,7 @@ def expand_power(partition: PartitionLike, l: int, m: int,
     the pass starts when _expansion_cost is above MAX_SERIES_COST."""
     if min(l, m, bound) < 0:
         raise ValueError(f"need l, m and bound >= 0, got {l}, {m} and {bound}")
-    num = reducible_numerator(partition)
+    num = _numerator(as_partition(partition))
     cost = _expansion_cost(num, l, m, bound)
     if cost > MAX_SERIES_COST:
         raise ValueError(

@@ -28,9 +28,10 @@ import numpy as np
 from .combinatorics import Partition, ProblemInstance, enumerate_partitions, record_json
 from .predictor import (
     PredictionReport,
-    linear_factor_predict,
+    _linear_factor_checked,
+    _reducible_forms_checked,
+    _stand_in,
     predict,
-    reducible_forms_predict,
     remark510_check,
 )
 from .oracle.runs import (
@@ -58,9 +59,11 @@ _OUTCOMES = ("agree", "disagree", "skipped", "predictor_only")
 MAX_G_CHECK_BOUND = 24
 
 # Most cells one sweep may hold.  On a 2-vCPU Xeon VM a predictor-only cell
-# took about 31 us and its cell and row held about 0.9 KB, so the cap is
-# about 6 s and 180 MB before rendering; the 11,972-cell grid of every
-# family over n 3-12, l 2-8, d <= 12 is well inside it.
+# took 28-37 us (best of 5 sweeps, timed three times, of the 11,972-cell
+# grid of every family over n 3-12, l 2-8, d <= 12 and of its 9,940
+# general cells, each a distinct instance) and its cell and row held at
+# most about 0.9 KB, so the cap is about 7 s and 180 MB before rendering;
+# that grid is well inside it.
 MAX_SWEEP_CELLS = 200_000
 
 # BLAS thread counts a sweep worker starts with when the user set none.
@@ -101,8 +104,10 @@ class SweepConfig:
     family predictor, and "n3" restricts to the cells with n = 3, l = 2.
     g_check_bound, when set, appends the defectivity-implication tallies
     over the region n < l, 2s <= d1 < (n-1)(s-1) with n, l, s up to the
-    bound (3 to MAX_G_CHECK_BOUND) to the summary.  Construction checks
-    the whole grid: past MAX_SWEEP_CELLS cells it raises ValueError.
+    bound (3 to MAX_G_CHECK_BOUND) to the summary.  workers caps the
+    pool of oracle cells; a predictor_only sweep runs in the calling
+    process.  Construction checks the whole grid: past MAX_SWEEP_CELLS
+    cells it raises ValueError.
     """
 
     n_range: tuple[int, int]
@@ -157,9 +162,8 @@ class SweepRow:
     def csv_record(self) -> dict:
         """The CSV row: the prediction's JSON fields n through citation,
         with fills as "true"/"false", between the family and the oracle."""
-        prediction = self.prediction.to_json()
-        del prediction["a_seq"], prediction["errata"]
-        prediction["fills"] = str(prediction["fills"]).lower()
+        prediction = self.prediction.scalar_json()
+        prediction["fills"] = "true" if prediction["fills"] else "false"
         run = self.oracle
         return {
             "family": self.family,
@@ -182,30 +186,45 @@ def _cell_seed(base: int, family: str, n: int, l: int, parts: tuple[int, ...]) -
     return int(np.random.SeedSequence(entropy=entropy).generate_state(1, np.uint64)[0] >> 1)
 
 
-def _family_report(family: str, inst: ProblemInstance) -> PredictionReport:
+# The families whose rows check and relabel the prediction of the
+# instance their predictor stands in.
+_CHECKED_FAMILIES = {"linear_factor": _linear_factor_checked,
+                     "reducible_forms": _reducible_forms_checked}
+
+
+def _family_report(family: str, inst: ProblemInstance,
+                   reports: Optional[dict] = None) -> PredictionReport:
     """The family's prediction for inst.  An unknown family, or one whose
-    predictor stands in another partition for inst's, raises ValueError."""
+    predictor stands in another partition for inst's, raises ValueError.
+    reports maps (n, l, parts) to predict()'s reports: one found there is
+    used, and one made here is added."""
     if family not in SWEEP_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected {SWEEP_FAMILIES}")
-    family_predict = {"linear_factor": linear_factor_predict,
-                      "reducible_forms": reducible_forms_predict}.get(family)
-    if family_predict is None:
-        return predict(inst)
-    report = family_predict(inst.n, inst.l, inst.d)
-    if report.instance != inst:
-        raise ValueError(f"the {family} family predicts partition "
-                         f"{report.instance.partition.text()}, not "
-                         f"{inst.partition.text()}")
-    return report
+    checked = _CHECKED_FAMILIES.get(family)
+    if checked is not None:
+        stand_in = _stand_in(family, inst.n, inst.l, inst.d)
+        if stand_in != inst:
+            raise ValueError(f"the {family} family predicts partition "
+                             f"{stand_in.partition.text()}, not "
+                             f"{inst.partition.text()}")
+    if reports is None:
+        reports = {}
+    key = (inst.n, inst.l, inst.partition.parts)
+    report = reports.get(key)
+    if report is None:
+        report = reports[key] = predict(inst)
+    return report if checked is None else checked(report)
 
 
 def verify_case(inst: ProblemInstance, cfg: PrimeFieldConfig,
                 family: str = "general",
-                predictor_only: bool = False) -> SweepRow:
+                predictor_only: bool = False,
+                reports: Optional[dict] = None) -> SweepRow:
     """Run the prediction and the oracle for one instance and compare.
     A family outside SWEEP_FAMILIES, or one that does not take inst's
-    partition, raises ValueError before the oracle runs."""
-    report = _family_report(family, inst)
+    partition, raises ValueError before the oracle runs.  reports, when
+    given, shares predict()'s reports between calls (see _family_report)."""
+    report = _family_report(family, inst, reports)
     if predictor_only:
         return SweepRow(family, report)
     try:
@@ -294,13 +313,13 @@ def _check_cell_count(cfg: SweepConfig) -> None:
                                  f"cells; narrow the n, l or d range")
 
 
-def _run_cell(args) -> SweepRow:
+def _run_cell(args, reports: Optional[dict] = None) -> SweepRow:
     family, n, l, part, oracle_cfg, predictor_only = args
     inst = ProblemInstance(n, l, part)
     if not predictor_only:
         oracle_cfg = replace(oracle_cfg,
                              seed=_cell_seed(oracle_cfg.seed, family, n, l, part.parts))
-    return verify_case(inst, oracle_cfg, family, predictor_only)
+    return verify_case(inst, oracle_cfg, family, predictor_only, reports)
 
 
 def _check_g_check_bound(bound: int) -> None:
@@ -422,21 +441,26 @@ def render_json(rows: Sequence[SweepRow], summary: dict, cfg: SweepConfig) -> st
 def sweep(cfg: SweepConfig) -> tuple[list[SweepRow], dict]:
     """Execute the grid and return (rows in enumeration order, summary).
 
-    Cells run on a process pool of min(workers, cells, CPUs) processes,
-    spawned with single-threaded BLAS (see _worker_pool); a single
-    collector writes results in enumeration order regardless of completion
-    order, so output is deterministic.  render_csv and render_json turn
-    the rows into a report.  The grid was checked when cfg was built (see
-    SweepConfig), so sweep itself refuses nothing.
+    Oracle cells run on a process pool of min(workers, cells, CPUs)
+    processes, spawned with single-threaded BLAS (see _worker_pool); a
+    single collector writes results in enumeration order regardless of
+    completion order, so output is deterministic.  Predictor-only cells
+    run in the calling process whatever workers says: a prediction costs
+    less than sending its row back from a worker.  Cells that run in this
+    process predict each instance once and share its report, which the
+    linear_factor and reducible_forms rows check and relabel.  render_csv
+    and render_json turn the rows into a report.  The grid was checked when
+    cfg was built (see SweepConfig), so sweep itself refuses nothing.
     """
     cells = [
         (family, n, l, part, cfg.oracle, cfg.predictor_only)
         for family, n, l, part in _enumerate_cells(cfg)
     ]
     cpus = os.cpu_count() or 1
-    workers = min(cfg.workers or cpus, cpus, len(cells))
+    workers = 1 if cfg.predictor_only else min(cfg.workers or cpus, cpus, len(cells))
     if workers <= 1:
-        rows: list[SweepRow] = [_run_cell(cell) for cell in cells]
+        reports: dict[tuple, PredictionReport] = {}
+        rows: list[SweepRow] = [_run_cell(cell, reports) for cell in cells]
     else:
         with _worker_pool(workers) as pool:
             rows = list(pool.map(_run_cell, cells, chunksize=4))

@@ -1230,6 +1230,28 @@ class TestOracleRuns:
         assert np.array_equal(table[1000], rank_rows(exponents(3, 60)[1000] + exponents(3, 60)))
         assert peak < table.nbytes + (64 << 20)
 
+    @pytest.mark.parametrize("n,a,b", [(3, 10, 10), (3, 60, 60)])
+    def test_shift_table_costs_one_table(self, n, a, b):
+        """The reversed table equals grade_size - 1 - table[:, ::-1], for a
+        cached table (read-only, left as it is) and for a computed one,
+        which is reversed in place: its peak stays within a tenth of the
+        table's bytes over the table."""
+        exponents(n, a), exponents(n, a + b)
+        cached = monomials._cached_table(n, a, b)
+        tracemalloc.start()
+        try:
+            shifted = runs._shift_table(n, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = grade_size(n, a + b) - 1 - mul_table(n, a, b)[:, ::-1]
+        assert np.array_equal(shifted, want)
+        if cached is None:
+            assert peak <= 1.1 * shifted.nbytes
+        else:
+            assert np.array_equal(cached, mul_table(n, a, b))
+            assert not cached.flags.writeable
+
 
 class TestWlpConsequence:
     def test_vacuous_below_the_ladder(self):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from redsecant import cli, workbench
+from redsecant import cli, predictor, workbench
 from redsecant.combinatorics import Partition, ProblemInstance
 from redsecant.oracle import PrimeFieldConfig, runs
 from redsecant.predictor import Remark510Result
@@ -164,12 +164,25 @@ class TestSweep:
 
         monkeypatch.setattr(workbench.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(workbench.os, "cpu_count", lambda: cpus)
-        cfg = small_config(d_max=3, predictor_only=True, workers=workers)
+        cfg = small_config(d_max=3, workers=workers)
         rows, _ = sweep(cfg)
         assert len(rows) == 3
         assert made == ([] if want is None else [want])
-        assert render_csv(rows) == render_csv(
-            sweep(small_config(d_max=3, predictor_only=True))[0])
+        assert render_csv(rows) == render_csv(sweep(small_config(d_max=3))[0])
+
+    def test_predictor_only_sweep_runs_in_process(self, monkeypatch):
+        """Predictor-only cells start no pool whatever workers says: with
+        two CPUs and workers=2 the sweep gives the workers=1 CSV."""
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a predictor-only sweep started a pool")
+
+        cfg = small_config(n_range=(3, 5), l_range=(2, 4), d_max=6,
+                           families=workbench.SWEEP_FAMILIES, predictor_only=True)
+        want = render_csv(sweep(cfg)[0])
+        monkeypatch.setattr(workbench.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(workbench.os, "cpu_count", lambda: 2)
+        rows, _ = sweep(dataclasses.replace(cfg, workers=2))
+        assert render_csv(rows) == want
 
     def test_pool_spawns_workers_with_one_blas_thread(self, monkeypatch):
         """The sweep's pool spawns its workers with every BLAS thread
@@ -458,6 +471,53 @@ def test_sweeps_share_no_partition_memo(monkeypatch):
     # d = 2..6 once for "general" and once for the n3 cells at (3, 2)
     assert per_sweep == 10
     assert len(calls) == 2 * per_sweep
+    assert first == second
+
+
+def _counted(monkeypatch, module, name, calls):
+    """Patch module.name to record its positional arguments in calls."""
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_sweep_predicts_each_instance_once(monkeypatch):
+    """A predictor-only sweep of every family predicts each distinct (n, l,
+    partition) once, in one verify_case call per row; the linear_factor
+    and reducible_forms rows still run their own threshold checks."""
+    predicted, verified, thresholds = [], [], []
+    _counted(monkeypatch, workbench, "predict", predicted)
+    _counted(monkeypatch, workbench, "verify_case", verified)
+    _counted(monkeypatch, predictor, "threshold_l0", thresholds)
+    cfg = small_config(n_range=(3, 5), l_range=(2, 4), d_max=6,
+                       families=workbench.SWEEP_FAMILIES, predictor_only=True)
+    rows, _ = sweep(cfg)
+    assert len(rows) == len(verified) == 308
+    distinct = {(r.prediction.instance,) for r in rows}
+    assert len(predicted) == len(set(predicted)) == len(distinct)
+    assert set(predicted) == distinct
+    assert len(thresholds) == sum(r.family in ("linear_factor", "reducible_forms")
+                                  for r in rows) > 0
+    assert hashlib.sha256(render_csv(rows).encode()).hexdigest() == (
+        "844788e0ec13a80777bd51e5fd6ff10629c7cd5b3ddad6e5895c38909a70fdd4")
+
+
+def test_sweeps_share_no_prediction(monkeypatch):
+    """Each sweep predicts its instances itself: a second sweep of the same
+    config is not answered from the first."""
+    predicted = []
+    _counted(monkeypatch, workbench, "predict", predicted)
+    cfg = small_config(n_range=(3, 4), l_range=(2, 3), d_max=5,
+                       families=workbench.SWEEP_FAMILIES, predictor_only=True)
+    first = render_csv(sweep(cfg)[0])
+    per_sweep = len(predicted)
+    second = render_csv(sweep(cfg)[0])
+    assert per_sweep > 0
+    assert len(predicted) == 2 * per_sweep
     assert first == second
 
 
